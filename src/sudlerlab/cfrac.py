@@ -35,13 +35,13 @@ MIN_PRECISION_BITS = 128
 
 def _euclid_digits(num: int, den: int) -> tuple[int, list[int]]:
     """Partial quotients of num/den (den > 0) by the Euclidean algorithm."""
-    a0 = num // den
-    num -= a0 * den
+    a0, num = divmod(num, den)
     digits = []
     p, q = den, num
     while q:
-        digits.append(p // q)
-        p, q = q, p % q
+        a, rem = divmod(p, q)
+        digits.append(a)
+        p, q = q, rem
     return a0, digits
 
 
@@ -102,6 +102,14 @@ class CFExpansion:
         return cls(a0, digits)
 
     @classmethod
+    def _from_checked(cls, a0: int, digits: tuple[int, ...]) -> "CFExpansion":
+        """Finite expansion from digits already known to be ints >= 1."""
+        cf = cls.__new__(cls)
+        cf.a0, cf.name, cf._fn = a0, None, None
+        cf._digits, cf._pre, cf._period = digits, (), ()
+        return cf
+
+    @classmethod
     def preset(cls, name: str) -> "CFExpansion":
         try:
             return _PRESETS[name]()
@@ -138,6 +146,8 @@ class CFExpansion:
         return self._period[(i - len(self._pre)) % len(self._period)]
 
     def partials(self, upto: int) -> list[int]:
+        if self._digits is not None and 0 <= upto <= len(self._digits):
+            return list(self._digits[:upto])
         return [self.partial(ell) for ell in range(1, upto + 1)]
 
     def value(self) -> Fraction:
@@ -200,7 +210,7 @@ def cf_expand(r: Fraction | int) -> CFExpansion:
     """Canonical expansion of a rational (Euclidean algorithm)."""
     r = Fraction(r)
     a0, digits = _euclid_digits(r.numerator, r.denominator)
-    return CFExpansion(a0, digits)
+    return CFExpansion._from_checked(a0, tuple(digits))
 
 
 def parse_alpha(text: str) -> CFExpansion:

@@ -3,7 +3,9 @@
 Outputs are deterministic: CSV files carry a header row, '.' decimals and
 17 significant digits, and rerunning a command with the same config and
 inputs reproduces the bytes exactly.  Exit codes: 0 success, 2 parse or
-precondition failure, 3 failed checks, 4 resource-cap or convergence abort.
+precondition failure (also a missing or malformed config file, an unwritable
+output path, and an evaluation that hits a zero factor or a pole), 3 failed
+checks, 4 resource-cap or convergence abort.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ from sudlerlab.dist import (
     ks_compare,
     sweep,
 )
-from sudlerlab.errors import EnumerationCapError, PrecondError, QuadratureError
+from sudlerlab.errors import (
+    EnumerationCapError,
+    PoleError,
+    PrecondError,
+    QuadratureError,
+    ZeroFactorError,
+)
 from sudlerlab.jones import h_eval, vol_41
 
 ENV_CONFIG = "SUDLERLAB_CONFIG"
@@ -62,7 +70,11 @@ _INT_KEYS = {"precision_bits", "guard_depth", "qcap", "Ncap", "threads"}
 def _config_from_file(path: str) -> dict:
     values: dict = {}
     known = {f.name for f in fields(Config)}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise PrecondError(f"cannot read config file {path}: {exc.strerror}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -72,7 +84,14 @@ def _config_from_file(path: str) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise PrecondError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = int(val) if key in _INT_KEYS else val
+            if key in _INT_KEYS:
+                try:
+                    val = int(val)
+                except ValueError:
+                    raise PrecondError(
+                        f"{path}:{lineno}: {key} must be an integer, got {val!r}"
+                    ) from None
+            values[key] = val
     return values
 
 
@@ -112,7 +131,10 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
-    out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
+    try:
+        out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
+    except OSError as exc:
+        raise PrecondError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -304,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
         cfg = load_config(args)
         return args.func(args, cfg)
-    except PrecondError as exc:
+    except (PrecondError, ZeroFactorError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EnumerationCapError as exc:

@@ -9,24 +9,29 @@ N), two normalized statistics are tracked:
 
 where gamma = 0.5772... is Euler's constant (EULER_GAMMA).  Their common
 limit law is the standard stable distribution with stability 1 and
-skewness 1.  Its density is recovered from the characteristic function
+skewness 1, E exp(itY) = exp(-|t| (1 + (2i/pi) sgn(t) log|t|)), whose heavy
+(power-law) tail sits on the right.  Its CDF and density come from Nolan's
+alpha = 1 integral form (J. P. Nolan, "Numerical calculation of stable
+densities and distribution functions", Stoch. Models 13, 1997), written in
+u = theta + pi/2 with c = exp(-pi y/2) and
 
-  E exp(itY) = exp(-|t| (1 + (2i/pi) sgn(t) log|t|)),
+  V(u) = (2/pi) (u / sin u) exp(-u cot u),   0 < u < pi,
+  F(y) = (1/pi) int_0^pi exp(-c V(u)) du,
+  g(y) = (c/2) int_0^pi V(u) exp(-c V(u)) du.
 
-oriented so that the heavy (power-law) tail sits on the right:
-
-  g(y) = (1/pi) int_0^inf exp(-t) cos(t y + (2/pi) t log t) dt,
-  F(y) = 1/2 + (1/pi) int_0^inf exp(-t) sin(t y + (2/pi) t log t) / t dt.
-
-Both integrals run over panelled Gauss-Legendre nodes with adaptive panel
-doubling; the right tail beyond the grid uses 1 - F(y) ~ (2/pi)/y.
+The integrands are positive and do not oscillate.  V increases from 2/(pi e)
+to infinity, so c V(u) crosses 1 at a single point u*; Gauss-Legendre panels
+graded geometrically toward u* from both sides carry the quadrature, and a
+coarser rule on the same panels guards its convergence.  The right tail
+beyond the CDF grid uses 1 - F(y) ~ (2/pi)/y.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -98,93 +103,117 @@ def statistic_partial_quotients(r, N: int) -> float:
 
 # -- stable(1, 1) reference law --------------------------------------------------
 
+# where c V(u) >= 40 both integrands are below 2e-16, so the u-range stops there
+_Z_CUT = math.log(40.0)
+# panels per side of u*, each a quarter as wide as the one before; the last is
+# 4^-20 of the side, enough for the sharp transition at u* when y is large
+_LEVELS = 21
+# pi 2^-40 = 3e-12 puts u* inside the transition even at y = 1e6, where it is
+# about 1e-12 wide
+_BISECTIONS = 40
+_CHUNK = 256  # y values per block: bounds the node arrays at about 1 MB each
+_TOL = 1e-9
 
-def _panel_edges(t_max: float, lin_step: float) -> np.ndarray:
-    """Geometrically graded edges near 0 (log endpoint), linear out to t_max."""
-    graded = [0.0] + [10.0**k for k in range(-10, 0)]
-    lin = np.arange(1.0, t_max + lin_step, lin_step)
-    return np.concatenate([graded, lin])
+
+def _log_V(u: np.ndarray) -> np.ndarray:
+    """log V(u), V(u) = (2/pi)(u/sin u) exp(-u cot u); V increases from 2/(pi e)."""
+    ratio = np.divide(u, np.sin(u), out=np.ones_like(u), where=u > 0.0)
+    return math.log(2.0 / math.pi) + np.log(ratio) - ratio * np.cos(u)
 
 
-def _gl_nodes(edges: np.ndarray, nodes_per_panel: int):
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wt = (half[:, None] * w[None, :]).ravel()
-    return t, wt
+def _graded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on panels of [0, 1] graded toward 1."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    edges = np.append(1.0 - 0.25 ** np.arange(_LEVELS), 1.0)
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+
+
+# the values come from the fine rule; the coarse one is the convergence guard
+_FINE = _graded_rule(24)
+_COARSE = _graded_rule(20)
+
+
+def _crossing(target: np.ndarray) -> np.ndarray:
+    """u in [0, pi) with log V(u) = target by bisection; 0 where target <= log V(0)."""
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, math.pi)
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        below = _log_V(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+def _panel_sums(rule, target, u_star, u_cut):
+    """F and g on one block by one rule over [0, u*] and [u*, u_cut]."""
+    t, w = rule
+    F = np.zeros_like(target)
+    g = np.zeros_like(target)
+    for width, u in (
+        (u_star, u_star[:, None] * t),
+        (u_cut - u_star, u_cut[:, None] - (u_cut - u_star)[:, None] * t),
+    ):
+        cV = np.exp(np.minimum(_log_V(u) - target[:, None], _Z_CUT))
+        f = np.exp(-cV)
+        F += width * (f @ w)
+        g += width * ((cV * f) @ w)
+    return F / math.pi, g / 2.0
+
+
+def _nolan(y) -> tuple[np.ndarray, np.ndarray]:
+    """F(y) and g(y) at each y (flattened) by Nolan's integrals."""
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64)).ravel()
+    F = np.empty_like(y)
+    g = np.empty_like(y)
+    for i in range(0, y.size, _CHUNK):
+        # c V(u*) = 1 at the crossing u*: the g integrand peaks there and the
+        # F integrand falls from 1 to 0 around it
+        target = (math.pi / 2.0) * y[i : i + _CHUNK]
+        u_star, u_cut = _crossing(np.stack([target, target + _Z_CUT]))
+        Ff, gf = _panel_sums(_FINE, target, u_star, u_cut)
+        Fc, gc = _panel_sums(_COARSE, target, u_star, u_cut)
+        err = max(np.max(np.abs(Ff - Fc)), np.max(np.abs(gf - gc)))
+        if not err <= _TOL:
+            raise QuadratureError(
+                f"stable-law quadrature rules differ by {err:.3g} > {_TOL}"
+            )
+        F[i : i + _CHUNK] = Ff
+        g[i : i + _CHUNK] = gf
+    return F, g
 
 
 @dataclass
 class StableLaw:
     """The standard stable law with stability 1 and skewness 1.
 
-    Quadrature configuration: panelled Gauss-Legendre with nodes_per_panel
-    points, cut off at t_max (the integrand carries exp(-t), so the tail
-    beyond t_max is below exp(-t_max) < 1e-10), panels doubled until two
-    successive levels agree to tol, at most max_doublings times.
+    `cdf` and `quantile` interpolate F on the grid grid_lo, grid_lo +
+    grid_step, ..., grid_hi, built on first use; `density` and `cdf_exact`
+    evaluate the integrals directly.
     """
 
-    alpha_stab: float = 1.0
-    beta_skew: float = 1.0
-    t_max: float = 25.0
-    nodes_per_panel: int = 64
-    tol: float = 1e-9
-    max_doublings: int = 6
     grid_lo: float = -12.0
     grid_hi: float = 80.0
     grid_step: float = 0.02
-    _grid: tuple = field(default=None, repr=False, compare=False)
 
-    def _quad_levels(self, kind: str, y: np.ndarray) -> np.ndarray:
-        """Adaptive panel-doubling quadrature at each y; kind in density|cdf."""
-        y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        ymax = max(1.0, float(np.max(np.abs(y))))
-        # keep ~10 GL nodes per oscillation period at the fastest frequency
-        step0 = min(0.5, 0.1 * self.nodes_per_panel * 2.0 * math.pi / (10.0 * ymax))
-        prev = None
-        step = step0
-        for _ in range(self.max_doublings + 1):
-            t, wt = _gl_nodes(_panel_edges(self.t_max, step), self.nodes_per_panel)
-            damp = wt * np.exp(-t)
-            phase = (2.0 / math.pi) * t * np.log(t)
-            out = np.empty_like(y)
-            for i0 in range(0, y.size, 512):
-                yy = y[i0 : i0 + 512]
-                arg = t[:, None] * yy[None, :] + phase[:, None]
-                if kind == "density":
-                    out[i0 : i0 + 512] = damp @ np.cos(arg)
-                else:
-                    out[i0 : i0 + 512] = (damp / t) @ np.sin(arg)
-            out /= math.pi
-            if prev is not None and np.max(np.abs(out - prev)) <= self.tol:
-                return out
-            prev = out
-            step /= 2.0
-        raise QuadratureError(
-            f"stable-law {kind} quadrature did not converge to {self.tol}"
-        )
-
-    def density(self, y) -> float:
-        """g(y), clipped at 0 (far-left values sit at the quadrature noise floor)."""
-        val = float(self._quad_levels("density", float(y))[0])
-        return max(val, 0.0)
+    def density(self, y):
+        """g(y); an array for array y."""
+        g = _nolan(y)[1].reshape(np.shape(y))
+        return g if g.ndim else float(g)
 
     def cdf_exact(self, y) -> np.ndarray:
-        """F(y) by direct quadrature of the sine inversion integral."""
-        return np.clip(self._quad_levels("cdf", y) + 0.5, 0.0, 1.0)
+        """F(y) by direct quadrature, as a 1-d array."""
+        return np.clip(_nolan(y)[0], 0.0, 1.0)
 
-    def _ensure_grid(self):
-        if self._grid is None:
-            ys = np.arange(self.grid_lo, self.grid_hi + self.grid_step, self.grid_step)
-            Fs = self.cdf_exact(ys)
-            Fs = np.maximum.accumulate(Fs)
-            object.__setattr__(self, "_grid", (ys, Fs))
-        return self._grid
+    @functools.cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
+        ys = np.arange(self.grid_lo, self.grid_hi + self.grid_step, self.grid_step)
+        return ys, np.maximum.accumulate(self.cdf_exact(ys))
 
     def cdf(self, y) -> np.ndarray:
         """F(y) by dense-grid interpolation with the analytic right tail."""
-        ys, Fs = self._ensure_grid()
+        ys, Fs = self._grid
         y = np.asarray(y, dtype=np.float64)
         out = np.interp(y, ys, Fs, left=0.0, right=1.0)
         right = y > ys[-1]
@@ -194,7 +223,7 @@ class StableLaw:
 
     def quantile(self, u) -> np.ndarray:
         """Inverse CDF; beyond the grid the power tail 1-F = (2/pi)/y inverts."""
-        ys, Fs = self._ensure_grid()
+        ys, Fs = self._grid
         u = np.asarray(u, dtype=np.float64)
         if np.any((u <= 0.0) | (u >= 1.0)):
             raise PrecondError("quantile needs u in (0, 1)")
@@ -214,14 +243,9 @@ class StableLaw:
         return np.sort(self.quantile(u))
 
 
-_DEFAULT_LAW = None
-
-
+@functools.lru_cache(maxsize=1)
 def _default_law() -> StableLaw:
-    global _DEFAULT_LAW
-    if _DEFAULT_LAW is None:
-        _DEFAULT_LAW = StableLaw()
-    return _DEFAULT_LAW
+    return StableLaw()
 
 
 def stable_density(y) -> float:

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: precondition violations exit 2,
-failed checks exit 3, resource caps exit 4.
+The CLI maps these onto exit codes: precondition violations, zero factors
+and poles exit 2, failed checks exit 3, resource caps and quadrature that
+does not converge exit 4.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from sudlerlab import cli, verify
+from sudlerlab import cli, dist, verify
 from sudlerlab.dist import farey_enumerate
+from sudlerlab.errors import PoleError, ZeroFactorError
 
 
 def run(argv, capsys):
@@ -176,6 +177,14 @@ def test_dist_rejects_small_N(capsys):
     assert rc == 2
 
 
+def test_dist_unconverged_stable_law_exits_4(capsys, monkeypatch):
+    # a 3-point guard rule cannot match the fine rule, so the grid build fails
+    monkeypatch.setattr(dist, "_COARSE", dist._graded_rule(3))
+    monkeypatch.setattr(cli, "_default_law", dist.StableLaw)
+    rc, _, err = run(["dist", "--N", "50"], capsys)
+    assert rc == 4 and "quadrature did not converge" in err
+
+
 def test_global_flags_accepted_after_subcommand(tmp_path, capsys):
     # --out and friends work on either side of the subcommand
     post = tmp_path / "post.csv"
@@ -188,6 +197,27 @@ def test_global_flags_accepted_after_subcommand(tmp_path, capsys):
     # a prefix value survives the subparser pass
     rc, out, _ = run(["--precision-bits", "256", "eval", "1/2"], capsys)
     assert rc == 0 and _record(out)["q"] == "2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--qmax", "30"],
+    ["verify", "--suite", "epsilon"],
+    ["dist", "--N", "50"],
+], ids=["scan", "verify", "dist"])
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "no_such_dir" / "out.csv"
+    rc, _, err = run(["--out", str(path)] + argv, capsys)
+    assert rc == 2 and err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("exc", [ZeroFactorError, PoleError])
+def test_arithmetic_errors_exit_2(exc, capsys, monkeypatch):
+    def hit(r):
+        raise exc("landed on it", n=3)
+
+    monkeypatch.setattr(cli, "h_eval", hit)
+    rc, _, err = run(["eval", "1/2"], capsys)
+    assert rc == 2 and err == "error: landed on it\n"
 
 
 # -- config ----------------------------------------------------------------------
@@ -210,6 +240,20 @@ def test_config_rejects_unknown_key(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
     rc, _, err = run(["eval", "1/2"], capsys)
     assert rc == 2 and "unknown config key" in err
+
+
+def test_config_rejects_non_integer_value(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("qcap = abc\n")
+    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
+    rc, _, err = run(["eval", "1/2"], capsys)
+    assert rc == 2 and err.startswith("error: ") and "qcap must be an integer" in err
+
+
+def test_config_missing_file_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_CONFIG, str(tmp_path / "absent.cfg"))
+    rc, _, err = run(["eval", "1/2"], capsys)
+    assert rc == 2 and err.startswith("error: cannot read config file")
 
 
 def test_config_comments_and_blanks_ok(tmp_path, capsys, monkeypatch):

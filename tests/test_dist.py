@@ -1,8 +1,10 @@
 """Distribution machinery: the stable(1,1) law, sweeps, and the centering D.
 
-Density and CDF oracles are frozen from an independent implementation
-(scipy.stats.levy_stable, default parameterization), so the quadrature here
-is cross-checked against a different algorithm, not against itself.
+Density and CDF oracles are frozen from two other implementations.  The
+scipy.stats.levy_stable table (default parameterization) comes from scipy's
+"piecewise" method, which is Nolan's integral like the code under test; the
+second table comes from inverting the characteristic function, a different
+algorithm, and reaches far into the right tail.
 """
 
 import math
@@ -37,6 +39,18 @@ STABLE_ORACLE = [
     (+8.0, 0.0112656323880288, 0.910953085258825),
 ]
 
+# (y, pdf, cdf) from inverting the characteristic function: panelled
+# Gauss-Legendre on g(y) = (1/pi) int_0^inf exp(-t) cos(t y + (2/pi) t log t) dt
+# and the matching sine integral for F, panels doubled until two levels
+# agreed to 1e-9
+CF_INVERSION_ORACLE = [
+    (-3.0, 1.323800985833562e-11, 2.2792878695554464e-13),
+    (+15.0, 0.003236473799153382, 0.953453203889934),
+    (+30.0, 0.000782977743278508, 0.9774091450893552),
+    (+50.0, 0.00027451418383124255, 0.986689636681181),
+    (+80.0, 0.00010507549782982053, 0.9917869520040503),
+]
+
 
 # -- stable law against the frozen oracle -------------------------------------------
 
@@ -54,6 +68,19 @@ def test_density_matches_independent_oracle():
 def test_cdf_matches_independent_oracle():
     for y, _, cdf in STABLE_ORACLE:
         assert float(stable_cdf(y)) == pytest.approx(cdf, abs=1e-7)
+
+
+def test_density_and_cdf_match_characteristic_function_inversion(law):
+    for y, pdf, cdf in CF_INVERSION_ORACLE:
+        assert law.density(y) == pytest.approx(pdf, abs=1e-9)
+        assert float(law.cdf_exact(y)[0]) == pytest.approx(cdf, abs=1e-9)
+
+
+def test_density_is_central_difference_of_cdf(law):
+    ys = np.linspace(-10.0, 80.0, 901)
+    h = 1e-4
+    slope = (law.cdf_exact(ys + h) - law.cdf_exact(ys - h)) / (2.0 * h)
+    assert np.max(np.abs(slope - law.density(ys))) <= 1e-8
 
 
 def test_density_is_right_skewed_and_nonnegative():

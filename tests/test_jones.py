@@ -90,16 +90,17 @@ def test_vol_value():
 
 def test_vol_equals_clausen_oracle():
     # Vol(4_1) = 2 Cl_2(pi/3), Clausen via its sine series
-    mpmath.mp.dps = 30
-    want = float(2 * mpmath.clsin(2, mpmath.pi / 3))
+    with mpmath.workdps(30):
+        want = float(2 * mpmath.clsin(2, mpmath.pi / 3))
     assert abs(vol_41() - want) <= 1e-12
 
 
 def test_vol_against_high_precision_quadrature():
-    mpmath.mp.dps = 30
-    integral = mpmath.quad(lambda x: mpmath.log(2 * mpmath.sin(mpmath.pi * x)),
-                           [0, mpmath.mpf(5) / 6])
-    assert abs(vol_41() - float(4 * mpmath.pi * integral)) <= 1e-12
+    with mpmath.workdps(30):
+        integral = mpmath.quad(lambda x: mpmath.log(2 * mpmath.sin(mpmath.pi * x)),
+                               [0, mpmath.mpf(5) / 6])
+        want = float(4 * mpmath.pi * integral)
+    assert abs(vol_41() - want) <= 1e-12
 
 
 def test_vol_is_scaled_psi_max():
