@@ -11,6 +11,7 @@ checks, 4 resource-cap or convergence abort.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -130,19 +131,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str | None, header: list[str], rows) -> None:
+def _open_out(path: str | None):
+    """A context manager for the CSV destination: the file at path, or stdout."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
+        return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise PrecondError(f"cannot write {path}: {exc.strerror}") from exc
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    finally:
-        if path:
-            out.close()
+
+
+def _write_rows(out, header: list[str], rows) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+
+
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    with _open_out(path) as out:
+        _write_rows(out, header, rows)
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -235,38 +243,43 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:
     if args.N < 50:
         raise PrecondError(f"--N must be >= 50, got {args.N}")
-    table = sweep(args.N, threads=cfg.threads)
-    D = estimate_D(min(args.N, cfg.Ncap))
-    stat_logJ = [
-        _stat_logJ_from_mag(row["logJ"], args.N, D) for row in table
-    ]
-    stat_pq = [_stat_pq_from_sum(int(row["sum_a"]), args.N) for row in table]
-    _write_csv(
-        cfg.output_path,
-        ["p", "q", "sum_partial_quotients", "logJ", "stat_logJ", "stat_pq"],
-        (
-            (int(r["p"]), int(r["q"]), int(r["sum_a"]), float(r["logJ"]), sl, sp)
-            for r, sl, sp in zip(table, stat_logJ, stat_pq)
-        ),
-    )
-    law = _default_law()
-    values = stat_logJ if args.stat == "logJ" else stat_pq
-    emp = EmpiricalDist.from_values(values)
-    ks = ks_compare(emp, law)
-    print(f"stat = {args.stat}")
-    print(f"n = {emp.n}")
-    print(f"KS = {_fmt(ks)}")
-    if args.stat == "logJ":
-        print(f"D = {_fmt(D)}  (estimated over F_{min(args.N, cfg.Ncap)})")
-    if args.report:
-        ys = emp.samples
-        ecdf = [(i + 1) / emp.n for i in range(emp.n)]
-        scdf = law.cdf(ys)
-        _write_csv(
-            args.report,
-            ["y", "emp_cdf", "stable_cdf"],
-            ((float(y), e, float(s)) for y, e, s in zip(ys, ecdf, scdf)),
+    with contextlib.ExitStack() as files:
+        # both outputs are opened before the sweep, so a bad path fails at once
+        out = files.enter_context(_open_out(cfg.output_path))
+        report = files.enter_context(_open_out(args.report)) if args.report else None
+        table = sweep(args.N, threads=cfg.threads)
+        D = estimate_D(min(args.N, cfg.Ncap))
+        stat_logJ = _stat_logJ_from_mag(table["logJ"], args.N, D)
+        stat_pq = _stat_pq_from_sum(table["sum_a"], args.N)
+        _write_rows(
+            out,
+            ["p", "q", "sum_partial_quotients", "logJ", "stat_logJ", "stat_pq"],
+            zip(
+                table["p"].tolist(),
+                table["q"].tolist(),
+                table["sum_a"].tolist(),
+                table["logJ"].tolist(),
+                stat_logJ.tolist(),
+                stat_pq.tolist(),
+            ),
         )
+        law = _default_law()
+        values = stat_logJ if args.stat == "logJ" else stat_pq
+        emp = EmpiricalDist.from_values(values)
+        ks = ks_compare(emp, law)
+        print(f"stat = {args.stat}")
+        print(f"n = {emp.n}")
+        print(f"KS = {_fmt(ks)}")
+        if args.stat == "logJ":
+            print(f"D = {_fmt(D)}  (estimated over F_{min(args.N, cfg.Ncap)})")
+        if report is not None:
+            ys = emp.samples
+            ecdf = [(i + 1) / emp.n for i in range(emp.n)]
+            _write_rows(
+                report,
+                ["y", "emp_cdf", "stable_cdf"],
+                zip(ys.tolist(), ecdf, law.cdf(ys).tolist()),
+            )
     return 0
 
 

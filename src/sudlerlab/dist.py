@@ -39,7 +39,7 @@ import numpy as np
 
 from sudlerlab.cfrac import cf_expand
 from sudlerlab.errors import PrecondError, QuadratureError
-from sudlerlab.jones import _logJ_mag, h_eval, jones_J, vol_41
+from sudlerlab.jones import _logJ_rows, jones_J, vol_41
 
 __all__ = [
     "EmpiricalDist",
@@ -289,38 +289,68 @@ def ks_compare(emp: EmpiricalDist, law: StableLaw) -> float:
 # -- sweeps ----------------------------------------------------------------------
 
 
-def _sweep_block(args) -> list:
-    N, offset, stride = args
-    rows = []
-    for q in range(2 + offset, N + 1, stride):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                cf = cf_expand(Fraction(p, q))
-                rows.append((p, q, sum(cf.partials(cf.L)), _logJ_mag(p, q)))
+_SWEEP_DTYPE = [
+    ("p", np.int64), ("q", np.int64), ("sum_a", np.int64), ("logJ", np.float64)
+]
+
+
+def _partial_quotient_sums(q: int, ps: np.ndarray) -> np.ndarray:
+    """a_1 + ... + a_L of p/q for each p in ps, by Euclid's algorithm on all p at once."""
+    x = np.full_like(ps, q)
+    y = ps.copy()
+    total = np.zeros_like(ps)
+    while y.any():
+        live = y > 0
+        quo, rem = np.divmod(x, np.where(live, y, 1))
+        total += np.where(live, quo, 0)
+        x, y = y, np.where(live, rem, 0)
+    return total
+
+
+def _farey_row(q: int) -> np.ndarray:
+    """Sweep rows of the reduced p/q in (0, 1) with denominator q, ascending in p.
+
+    The Jones kernel runs on p <= q/2 only: n (q - p) = -n p mod q, so the
+    row of q - p gathers the same factors as the row of p.
+    """
+    lo = np.arange(1, q // 2 + 1, dtype=np.int64)
+    lo = lo[np.gcd(lo, q) == 1]
+    logJ = np.array(_logJ_rows(q, lo))
+    k = np.count_nonzero(2 * lo < q)  # every p but p = 1 at q = 2
+    rows = np.empty(lo.size + k, dtype=_SWEEP_DTYPE)
+    rows["p"] = np.concatenate([lo, q - lo[:k][::-1]])
+    rows["q"] = q
+    rows["sum_a"] = _partial_quotient_sums(q, rows["p"])
+    rows["logJ"] = np.concatenate([logJ, logJ[:k][::-1]])
     return rows
+
+
+def _sweep_block(args) -> np.ndarray:
+    N, offset, stride = args
+    return np.concatenate(
+        [np.empty(0, dtype=_SWEEP_DTYPE)]
+        + [_farey_row(q) for q in range(2 + offset, N + 1, stride)]
+    )
 
 
 def sweep(N: int, threads: int = 1) -> np.ndarray:
     """Per-fraction sweep over F_N: (p, q, sum of partial quotients, log J).
 
     Returns a structured array sorted by (q, p); the merge order is
-    deterministic regardless of worker count.  Cost is O(q) per fraction,
-    about (2/pi^2) N^3 sine evaluations in total.
+    deterministic regardless of worker count.  Each denominator q costs one
+    table of about q/2 sines and a gather of q - 1 residues per fraction with
+    p < q/2: about N^2/4 sines and (1/pi^2) N^3 gathers in total.
     """
     if N < 2:
         raise PrecondError(f"need N >= 2, got {N}")
     if threads <= 1:
-        rows = _sweep_block((N, 0, 1))
+        out = _sweep_block((N, 0, 1))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            blocks = pool.map(_sweep_block, [(N, k, threads) for k in range(threads)])
-            rows = [row for block in blocks for row in block]
-    rows.sort(key=lambda t: (t[1], t[0]))
-    out = np.array(
-        rows,
-        dtype=[("p", np.int64), ("q", np.int64), ("sum_a", np.int64), ("logJ", np.float64)],
-    )
-    return out
+            out = np.concatenate(
+                list(pool.map(_sweep_block, [(N, k, threads) for k in range(threads)]))
+            )
+    return out[np.lexsort((out["p"], out["q"]))]
 
 
 def estimate_D(Ncap: int) -> float:
@@ -333,9 +363,19 @@ def estimate_D(Ncap: int) -> float:
     """
     if Ncap < 50:
         raise PrecondError(f"need Ncap >= 50, got {Ncap}")
-    pts = sorted(farey_enumerate(Ncap))
-    xs = np.array([float(r) for r in pts])
-    vals = np.array([h_eval(r).psi_star for r in pts]) / (1.0 + xs)
+    rows = _sweep_block((Ncap, 0, 1))
+    p, q, logJ = rows["p"], rows["q"], rows["logJ"]
+    # J is 1-periodic, so J(q/p) = J((q mod p)/p): another row of F_Ncap,
+    # found by its (q, p) key, except J(1) = 1 at p = 1
+    key = q * (Ncap + 1) + p
+    logJ_inv = logJ[np.searchsorted(key, p * (Ncap + 1) + q % p)]
+    logJ_inv[p == 1] = 0.0
+    x = p / q
+    # h(x) + (Vol/2 pi)(x - 1/x) with the operations of h_eval
+    psi_star = (logJ - logJ_inv) + vol_41() / (2 * math.pi) * (x - 1 / x)
+    order = np.argsort(x)
+    xs = x[order]
+    vals = psi_star[order] / (1.0 + xs)
     edges = np.concatenate([[0.0], xs, [1.0]])
     w = (edges[2:] - edges[:-2]) / 2.0
     integral = float(w @ vals)

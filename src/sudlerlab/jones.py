@@ -27,7 +27,12 @@ from scipy.integrate import quad
 
 from sudlerlab.cfrac import CFExpansion, cf_expand, cf_tail, convergents
 from sudlerlab.errors import PrecondError, QuadratureError, ZeroFactorError
-from sudlerlab.trig import LogNumber, sudler_prefix_logmags
+from sudlerlab.trig import (
+    LogNumber,
+    _logsumexp,
+    _logsumexp_rows,
+    sudler_prefix_logmags,
+)
 
 __all__ = [
     "HValue",
@@ -89,20 +94,41 @@ def vol_41() -> float:
     return 2.0 * math.pi * psi_heuristic(Fraction(5, 6))
 
 
-def _logsumexp_mags(mags: np.ndarray) -> LogNumber:
-    """Sorted log-sum-exp of raw log magnitudes, largest terms first."""
-    m = np.sort(np.asarray(mags, dtype=np.float64))
-    top = float(m[-1])
-    s = math.fsum(np.exp(m[::-1] - top))
-    return LogNumber(top + math.log(s))
+# rows per kernel block: about this many terms, which bounds the block's arrays
+_BLOCK_TERMS = 1 << 18
+
+
+def _logJ_rows(q: int, ps) -> list[float]:
+    """log J(p/q) for each p in ps; every p coprime to q, 2 <= q <= 2^31.
+
+    All P_N(p/q) of one denominator read the same table log(2 sin(pi k/q)),
+    k <= q/2: row p gathers it at min(r, q - r), r = n p mod q, and takes the
+    cumulative sum.  Rows go through the log-sum-exp a block at a time.  The
+    bound on q keeps n p < 2^62, so the residues are exact in int64.
+    """
+    ps = np.asarray(ps, dtype=np.int64)
+    table = np.zeros(q // 2 + 1)  # entry 0 (a vanishing factor) is never read
+    np.log(2.0 * np.sin(np.pi * (np.arange(1, q // 2 + 1) / q)), out=table[1:])
+    n = np.arange(1, q, dtype=np.int64)
+    rows = max(1, _BLOCK_TERMS // q)
+    out: list[float] = []
+    for i in range(0, ps.size, rows):
+        r = ps[i : i + rows, None] * n % q
+        np.minimum(r, q - r, out=r)
+        mags = np.zeros((r.shape[0], q))  # column 0 is the empty product P_0
+        np.cumsum(table[r], axis=1, out=mags[:, 1:])
+        mags *= 2.0
+        out += _logsumexp_rows(mags)
+    return out
 
 
 @lru_cache(maxsize=1 << 20)
 def _logJ_mag(p: int, q: int) -> float:
     if q == 1:
         return 0.0
-    mags = 2.0 * sudler_prefix_logmags(Fraction(p, q), q - 1)
-    return _logsumexp_mags(mags).log_mag
+    if q > 1 << 31:  # n p could overflow int64: trig's bigint residue path
+        return _logsumexp(2.0 * sudler_prefix_logmags(Fraction(p, q), q - 1))
+    return _logJ_rows(q, [p])[0]
 
 
 def jones_J(r) -> LogNumber:
@@ -180,7 +206,7 @@ def _shifted_J_logmag(p: int, q: int, shift: Fraction) -> float:
     prefix = np.empty(q)
     prefix[0] = 0.0
     np.cumsum(np.log(2.0 * np.sin(np.pi * (rm / den))), out=prefix[1:])
-    return _logsumexp_mags(2.0 * prefix).log_mag
+    return _logsumexp(2.0 * prefix)
 
 
 def m_k(cf: CFExpansion, k: int) -> float:

@@ -35,6 +35,7 @@ from sudlerlab.cfrac import (
 from sudlerlab.errors import EnumerationCapError, PrecondError
 from sudlerlab.jones import h_eval, vol_41, _shifted_J_logmag
 from sudlerlab.trig import (
+    _logsumexp,
     cotangent_sum,
     cotangent_V,
     epsilon_vector,
@@ -124,15 +125,6 @@ def _prefix_mags(table: ConvergentTable) -> np.ndarray:
     if not table.cf.is_finite or table.depth != table.cf.L:
         raise PrecondError("need the full-depth table of a rational alpha")
     return _prefix_mags_cached(a.numerator, a.denominator)
-
-
-def _lse_mags(mags: np.ndarray) -> float:
-    """log sum exp for raw log magnitudes; -inf on an empty selection."""
-    if mags.size == 0:
-        return -math.inf
-    m = np.sort(mags)
-    top = float(m[-1])
-    return top + math.log(math.fsum(np.exp(m[::-1] - top)))
 
 
 def _log_max_partial(table: ConvergentTable, k: int) -> float:
@@ -269,8 +261,8 @@ def _concentration_parts(table: ConvergentTable, K: int, k: int, A: float):
     tail_sel = np.abs(b_k - bstar) >= thresh
     out = []
     for label, base in [("all", np.ones(qK, dtype=bool)), ("head_zero", head_zero)]:
-        log_total = _lse_mags(2.0 * mags[base])
-        log_tail = _lse_mags(2.0 * mags[base & tail_sel])
+        log_total = _logsumexp(2.0 * mags[base])
+        log_tail = _logsumexp(2.0 * mags[base & tail_sel])
         out.append((label, log_tail, log_total - 20.0 * math.log(a_next)))
     return out
 
@@ -365,14 +357,14 @@ def _kashaev_parts(cf: CFExpansion, k: int, K: int, A: float):
     if qK > ENUM_CAP:
         raise EnumerationCapError(f"q_K = {qK} exceeds enumeration cap {ENUM_CAP}")
     mags = _prefix_mags(table)[:qK]
-    lhs = _lse_mags(2.0 * mags)
+    lhs = _logsumexp(2.0 * mags)
     head = _shifted_J_logmag(table.p(k), table.q(k),
                              Fraction((-1) ** k * 5, 6 * table.q(k)))
     keep = np.empty(qK, dtype=bool)
     for N in range(qK):
         rep = ostrowski_encode(N, table)
         keep[N] = all(_digit(rep, m) == 0 for m in range(k))
-    tail = _lse_mags(2.0 * mags[keep])
+    tail = _logsumexp(2.0 * mags[keep])
     err = abs(lhs - head - tail)
     return err, xi
 

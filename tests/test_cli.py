@@ -210,6 +210,17 @@ def test_unwritable_out_exits_2(argv, tmp_path, capsys):
     assert rc == 2 and err.startswith("error: cannot write")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_dist_unwritable_output_fails_before_sweep(flag, tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output paths were opened")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    path = tmp_path / "no_such_dir" / "x.csv"
+    rc, _, err = run(["dist", "--N", "50", flag, str(path)], capsys)
+    assert rc == 2 and err.startswith("error: cannot write")
+
+
 @pytest.mark.parametrize("exc", [ZeroFactorError, PoleError])
 def test_arithmetic_errors_exit_2(exc, capsys, monkeypatch):
     def hit(r):

@@ -12,9 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sudlerlab.cfrac import cf_expand
 from sudlerlab.dist import (
     EULER_GAMMA,
+    _partial_quotient_sums,
     _default_law,
     EmpiricalDist,
     estimate_D,
@@ -94,7 +98,7 @@ def test_density_normalizes_to_one(law):
     # Simpson over the grid body plus analytic wings from the CDF; the wing
     # values come from the sine integrand, the body from the cosine one
     ys = np.linspace(-12.0, 80.0, 4601)
-    dens = np.array([law.density(y) for y in ys])
+    dens = law.density(ys)
     from scipy.integrate import simpson
 
     body = simpson(dens, x=ys)
@@ -224,6 +228,17 @@ def test_sweep_rows_match_direct_evaluation():
         assert row["logJ"] == pytest.approx(jones_J(r).log_mag, abs=1e-10)
 
 
+@given(st.integers(2, 600))
+@settings(max_examples=60, deadline=None)
+def test_partial_quotient_sums_match_cf_expand(q):
+    ps = np.array([p for p in range(1, q) if math.gcd(p, q) == 1])
+    want = []
+    for p in ps.tolist():
+        cf = cf_expand(Fraction(p, q))
+        want.append(sum(cf.partials(cf.L)))
+    assert _partial_quotient_sums(q, ps).tolist() == want
+
+
 def test_sweep_threads_agree():
     assert np.array_equal(sweep(25, threads=2), sweep(25))
 
@@ -232,7 +247,21 @@ def test_estimate_D_regression_and_stability():
     d100 = estimate_D(100)
     assert d100 == pytest.approx(2.3177579440519125, abs=1e-9)
     d200 = estimate_D(200)
+    assert d200 == 2.360586905679711
     assert abs(d200 - d100) < 0.05
+
+
+def test_estimate_D_equals_h_eval_loop():
+    # one h_eval per sorted Farey point is the reference for the batched rows
+    from sudlerlab.jones import h_eval
+
+    pts = sorted(farey_enumerate(100))
+    xs = np.array([float(r) for r in pts])
+    vals = np.array([h_eval(r).psi_star for r in pts]) / (1.0 + xs)
+    edges = np.concatenate([[0.0], xs, [1.0]])
+    integral = float(((edges[2:] - edges[:-2]) / 2.0) @ vals)
+    base = (2.0 * EULER_GAMMA - 2.0 * math.log(6.0 / math.pi)) / math.pi
+    assert estimate_D(100) == base + (4.0 / vol_41()) * integral
 
 
 def test_estimate_D_needs_dense_sample():

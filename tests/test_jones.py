@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sudlerlab import jones
 from sudlerlab.errors import PrecondError
 from sudlerlab.jones import (
+    _logJ_rows,
     h_eval,
     jones_J,
     m_k,
@@ -19,6 +21,7 @@ from sudlerlab.jones import (
     _shifted_J_logmag,
 )
 from sudlerlab.cfrac import CFExpansion, cf_expand
+from sudlerlab.trig import _logsumexp, sudler_prefix_logmags
 
 
 def brute_J(p, q):
@@ -79,6 +82,34 @@ def test_J_matches_direct_summation(q, p):
     got = jones_J(Fraction(p, q)).log_mag
     want = math.log(brute_J(p, q))
     assert abs(got - want) <= 1e-10 * (1 + abs(want))
+
+
+@st.composite
+def coprime_pq(draw, qmax=600):
+    q = draw(st.integers(2, qmax))
+    p = draw(st.integers(1, q - 1).filter(lambda p: math.gcd(p, q) == 1))
+    return p, q
+
+
+@given(coprime_pq())
+@settings(max_examples=150, deadline=None)
+def test_logJ_row_equals_prefix_logsumexp(pq):
+    # the per-fraction sine pass of trig is the reference: same terms, same bits
+    p, q = pq
+    want = _logsumexp(2.0 * sudler_prefix_logmags(Fraction(p, q), q - 1))
+    assert _logJ_rows(q, [p])[0] == want
+
+
+@given(st.integers(2, 600), st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_logJ_rows_batch_equals_single_rows_and_mirrors(q, rows_per_block):
+    ps = [p for p in range(1, q) if math.gcd(p, q) == 1]
+    # small blocks make the batch span several of them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jones, "_BLOCK_TERMS", rows_per_block * q)
+        batch = _logJ_rows(q, ps)
+    assert batch == [_logJ_rows(q, [p])[0] for p in ps]
+    assert batch == batch[::-1]  # the row of q - p is the row of p
 
 
 # -- volume constant and Psi -----------------------------------------------------
