@@ -20,13 +20,13 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from sudlerlab import cfrac, verify
-from sudlerlab.cfrac import CFExpansion, cf_expand
+from sudlerlab.cfrac import cf_expand
 from sudlerlab.dist import (
     EmpiricalDist,
+    _D_from_rows,
     _default_law,
     _stat_logJ_from_mag,
     _stat_pq_from_sum,
-    estimate_D,
     farey_enumerate,
     ks_compare,
     sweep,
@@ -49,7 +49,6 @@ class Config:
     """Process-wide knobs; flags override the optional key=value file."""
 
     precision_bits: int = 128
-    guard_depth: int = 8
     qcap: int = 10**4
     Ncap: int = 200
     threads: int = 1
@@ -60,12 +59,12 @@ class Config:
             raise PrecondError(f"precision_bits >= 64 required, got {self.precision_bits}")
         if self.qcap < 2 or self.Ncap < 2:
             raise PrecondError("qcap and Ncap must be >= 2")
-        if self.guard_depth < 0 or self.threads < 1:
-            raise PrecondError("guard_depth >= 0 and threads >= 1 required")
+        if self.threads < 1:
+            raise PrecondError("threads >= 1 required")
         return self
 
 
-_INT_KEYS = {"precision_bits", "guard_depth", "qcap", "Ncap", "threads"}
+_INT_KEYS = {"precision_bits", "qcap", "Ncap", "threads"}
 
 
 def _config_from_file(path: str) -> dict:
@@ -106,7 +105,6 @@ def load_config(args: argparse.Namespace) -> Config:
         name: getattr(args, flag)
         for name, flag in [
             ("precision_bits", "precision_bits"),
-            ("guard_depth", "guard_depth"),
             ("qcap", "qcap"),
             ("Ncap", "ncap"),
             ("threads", "threads"),
@@ -163,15 +161,10 @@ def parse_x(text: str) -> Fraction:
             f"preset {text!r} denotes an irrational; eval needs a rational"
         )
     if text.startswith("cf:"):
-        try:
-            digits = [int(tok) for tok in text[3:].split(",") if tok.strip()]
-        except ValueError as exc:
-            raise PrecondError(f"bad cf digits in {text!r}") from exc
-        if not digits or any(d < 1 for d in digits):
-            raise PrecondError(f"cf digits must be positive integers: {text!r}")
-        cf = CFExpansion.from_partial_quotients(0, digits)
-        table = cfrac.convergents(cf, cf.L)
-        return table.alpha_exact
+        cf = cfrac.parse_alpha(text)
+        if not cf.is_finite:
+            raise PrecondError(f"{text!r} is an infinite expansion; eval needs a rational")
+        return cf.value()
     try:
         r = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -248,7 +241,8 @@ def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:
         out = files.enter_context(_open_out(cfg.output_path))
         report = files.enter_context(_open_out(args.report)) if args.report else None
         table = sweep(args.N, threads=cfg.threads)
-        D = estimate_D(min(args.N, cfg.Ncap))
+        Ncap = min(args.N, cfg.Ncap)
+        D = _D_from_rows(table[table["q"] <= Ncap], Ncap)
         stat_logJ = _stat_logJ_from_mag(table["logJ"], args.N, D)
         stat_pq = _stat_pq_from_sum(table["sum_a"], args.N)
         _write_rows(
@@ -271,7 +265,7 @@ def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:
         print(f"n = {emp.n}")
         print(f"KS = {_fmt(ks)}")
         if args.stat == "logJ":
-            print(f"D = {_fmt(D)}  (estimated over F_{min(args.N, cfg.Ncap)})")
+            print(f"D = {_fmt(D)}  (estimated over F_{Ncap})")
         if report is not None:
             ys = emp.samples
             ecdf = [(i + 1) / emp.n for i in range(emp.n)]
@@ -292,7 +286,6 @@ def _add_common_flags(ap: argparse.ArgumentParser, subcommand: bool) -> None:
     # copies default to SUPPRESS so they never clobber a prefix value
     kw = {"default": argparse.SUPPRESS} if subcommand else {}
     ap.add_argument("--precision-bits", dest="precision_bits", type=int, **kw)
-    ap.add_argument("--guard-depth", dest="guard_depth", type=int, **kw)
     ap.add_argument("--qcap", type=int, **kw)
     ap.add_argument("--ncap", type=int, **kw)
     ap.add_argument("--threads", type=int, **kw)

@@ -361,9 +361,16 @@ def estimate_D(Ncap: int) -> float:
     over the sorted sample (endpoints 0 and 1 bound the first and last
     cells).  Densifying the sample is the caller's sensitivity knob.
     """
+    return _D_from_rows(_sweep_block((Ncap, 0, 1)), Ncap)
+
+
+def _D_from_rows(rows: np.ndarray, Ncap: int) -> float:
+    """estimate_D(Ncap) from the (q, p)-sorted sweep rows of F_Ncap.
+
+    `sweep(N)[sweep(N)["q"] <= Ncap]` holds the same rows for any N >= Ncap.
+    """
     if Ncap < 50:
         raise PrecondError(f"need Ncap >= 50, got {Ncap}")
-    rows = _sweep_block((Ncap, 0, 1))
     p, q, logJ = rows["p"], rows["q"], rows["logJ"]
     # J is 1-periodic, so J(q/p) = J((q mod p)/p): another row of F_Ncap,
     # found by its (q, p) key, except J(1) = 1 at p = 1

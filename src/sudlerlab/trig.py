@@ -368,16 +368,25 @@ def product_form_eval(rep: OstrowskiRep, table: ConvergentTable | None = None) -
 
 
 def product_form_logs(table: ConvergentTable, K: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """log P_N for every N < q_K at once, assembled level by level.
+    """log P_N for every N < q_K at once, one array pass per digit level.
 
-    Walks the Ostrowski digit tree from the most significant position down.
-    At each node one shared sine table of length (digit range) * q_l is
-    cumsummed and gathered at multiples of q_l, so the whole array costs
-    O(q_K * K) sine evaluations instead of O(q_K^2).
+    Walks the Ostrowski digit tree from position K - 1 down to 0, a whole
+    level at a time.  The frontier holds, per node, the tail shift t, the
+    index M built so far and the running log; its first nfree nodes are free,
+    the rest had a maximal parent digit, which forces digit 0.  At level l
+    every free node reads the same width * q_l residues, offset by its own t:
+    one 2-d array of log 2 sin values (free nodes x width * q_l) is
+    cumsummed along its rows and gathered at multiples of q_l, and the
+    children b = 1..width follow by broadcasting over b (digit 0 keeps the
+    node as it is).  That is O(K) Python-level steps and O(q_K * K) sine
+    evaluations, with a working set of a few times q_K floats per level.
+    Every float addition happens in the order of a node-by-node walk.
 
     Arguments are exact integer residues mod the table's reference
     denominator whenever that fits in int64 arithmetic; otherwise a floating
-    fallback is used.  Raises EnumerationCapError when q_K exceeds cap.
+    fallback is used, where a factor within POLE_GUARD of a zero raises
+    ZeroFactorError with its index n in the segment.  Raises
+    EnumerationCapError when q_K exceeds cap.
     """
     qK = table.q(K)
     if qK > cap:
@@ -391,61 +400,51 @@ def product_form_logs(table: ConvergentTable, K: int, cap: int = DEFAULT_ENUM_CA
     out = np.zeros(qK)
     if K == 0:
         return out
-
-    a_next = [table.partial(ell + 1) for ell in range(K)]
-    qs = [table.q(ell) for ell in range(K)]
-    # widest digit range ever needed at each level
-    width = [a_next[ell] if ell >= 1 else max(a_next[0] - 1, 0) for ell in range(K)]
-
     if exact:
         P = alpha.numerator % Q
-        base = [
-            (np.arange(1, width[ell] * qs[ell] + 1, dtype=np.int64) * P) % Q
-            for ell in range(K)
-        ]
-        thetanum = [qs[ell] * alpha.numerator - table.p(ell) * Q for ell in range(K)]
+        t = np.zeros(1, dtype=np.int64)
     else:
         af = float(alpha)
-        base = [
-            (np.arange(1, width[ell] * qs[ell] + 1, dtype=np.float64) * af) % 1.0
-            for ell in range(K)
-        ]
         thetaf = table.theta_floats()
+        t = np.zeros(1)
+    M = np.zeros(1, dtype=np.int64)
+    acc = np.zeros(1)
+    nfree = 1
 
-    def segment_gather(ell: int, t, top: int) -> np.ndarray:
-        """Cumulative segment logs at digits 0..top for tail shift t."""
-        m = top * qs[ell]
+    for ell in range(K - 1, -1, -1):
+        q_l = table.q(ell)
+        # digit range of a free node: b <= a_{l+1}, and b < a_1 at l = 0
+        width = table.partial(ell + 1) - (ell == 0)
+        if width == 0:
+            continue
+        tf = t[:nfree, None]
         if exact:
-            r = (base[ell][:m] + t) % Q
+            n = np.arange(1, width * q_l + 1, dtype=np.int64)
+            r = (n * P % Q + tf) % Q
             rm = np.minimum(r, Q - r)
             logs = np.log(2.0 * np.sin(np.pi * (rm / Q)))
         else:
-            u = (base[ell][:m] + t) % 1.0
+            n = np.arange(1, width * q_l + 1, dtype=np.float64)
+            u = (n * af % 1.0 + tf) % 1.0
             um = np.minimum(u, 1.0 - u)
-            if np.any(um < POLE_GUARD):
-                raise ZeroFactorError(f"segment factor n={int(np.argmin(um)) + 1} within pole guard", n=int(np.argmin(um)) + 1)
+            bad = np.flatnonzero((um < POLE_GUARD).any(axis=1))
+            if bad.size:
+                k = int(np.argmin(um[bad[0]])) + 1
+                raise ZeroFactorError(f"segment factor n={k} within pole guard", n=k)
             logs = np.log(2.0 * np.sin(np.pi * um))
-        c = np.cumsum(logs)
-        g = np.empty(top + 1)
-        g[0] = 0.0
-        g[1:] = c[qs[ell] - 1 :: qs[ell]]
-        return g
-
-    def walk(ell: int, t, M: int, acc: float, parent_maxed: bool) -> None:
-        if ell < 0:
-            out[M] = acc
-            return
-        top = 0 if parent_maxed else width[ell]
-        if top == 0:
-            walk(ell - 1, t, M, acc, False)
-            return
-        g = segment_gather(ell, t, top)
-        for b in range(top + 1):
-            tb = (t + b * thetanum[ell]) % Q if exact else (t + b * thetaf[ell])
-            maxed = ell >= 1 and b == a_next[ell]
-            walk(ell - 1, tb, M + b * qs[ell], acc + g[b], maxed)
-
-    walk(K - 1, 0 if exact else 0.0, 0, 0.0, False)
+        # row i, column b - 1: the log of the first b segments of node i
+        g = np.cumsum(logs, axis=1)[:, q_l - 1 :: q_l]
+        b = np.arange(1, width + 1)[:, None]
+        if exact:
+            tb = (t[:nfree] + b * (q_l * alpha.numerator - table.p(ell) * Q)) % Q
+        else:
+            tb = t[:nfree] + b * thetaf[ell]
+        # children in digit-major order, so the maxed ones (b = a_{l+1}) come last
+        t = np.concatenate([t, tb.ravel()])
+        M = np.concatenate([M, (M[:nfree] + b * q_l).ravel()])
+        acc = np.concatenate([acc, (acc[:nfree] + g.T).ravel()])
+        nfree = t.size - nfree
+    out[M] = acc
     return out
 
 

@@ -58,6 +58,21 @@ def test_eval_rejects_garbage(capsys):
     assert rc == 2
 
 
+def test_eval_cf_literal_rules(capsys):
+    # the literal goes through cfrac.parse_alpha; a trailing 1 is canonicalized
+    rc1, out1, _ = run(["eval", "cf:2,1,1"], capsys)
+    rc2, out2, _ = run(["eval", "2/5"], capsys)
+    assert rc1 == rc2 == 0 and out1 == out2
+    for bad in ["cf:", "cf:2,0", "cf:2,-1"]:
+        rc, _, err = run(["eval", bad], capsys)
+        assert rc == 2 and err.startswith("error: "), bad
+
+
+def test_eval_rejects_periodic_cf_literal(capsys):
+    rc, _, err = run(["eval", "cf:1~period:2"], capsys)
+    assert rc == 2 and "infinite expansion" in err
+
+
 def test_eval_folds_beyond_unit_interval(capsys):
     rc, out, _ = run(["eval", "5/3"], capsys)
     assert rc == 0
@@ -251,6 +266,22 @@ def test_config_rejects_unknown_key(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
     rc, _, err = run(["eval", "1/2"], capsys)
     assert rc == 2 and "unknown config key" in err
+
+
+def test_guard_depth_flag_is_gone(capsys):
+    for argv in (["--guard-depth", "3", "eval", "1/2"], ["eval", "--guard-depth", "3", "1/2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert "--guard-depth" in capsys.readouterr().err
+
+
+def test_config_rejects_guard_depth_key(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("guard_depth = 8\n")
+    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
+    rc, _, err = run(["eval", "1/2"], capsys)
+    assert rc == 2 and "unknown config key 'guard_depth'" in err
 
 
 def test_config_rejects_non_integer_value(tmp_path, capsys, monkeypatch):

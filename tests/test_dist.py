@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from sudlerlab.cfrac import cf_expand
 from sudlerlab.dist import (
     EULER_GAMMA,
+    _D_from_rows,
     _partial_quotient_sums,
     _default_law,
     EmpiricalDist,
@@ -267,6 +268,15 @@ def test_estimate_D_equals_h_eval_loop():
 def test_estimate_D_needs_dense_sample():
     with pytest.raises(PrecondError):
         estimate_D(49)
+    with pytest.raises(PrecondError):
+        _D_from_rows(sweep(60), 49)
+
+
+def test_D_from_larger_sweep_rows_equals_estimate_D():
+    # dist reuses its sweep: the rows of F_N with q <= Ncap give the same D
+    table = sweep(130)
+    assert _D_from_rows(table[table["q"] <= 100], 100) == estimate_D(100)
+    assert _D_from_rows(table, 130) == estimate_D(130)
 
 
 def test_estimate_D_agrees_with_trapezoid_weighting():

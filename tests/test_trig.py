@@ -17,6 +17,7 @@ from sudlerlab.cfrac import (
     ostrowski_encode,
     ostrowski_enumerate,
 )
+from sudlerlab import trig
 from sudlerlab.errors import (
     EnumerationCapError,
     PoleError,
@@ -296,6 +297,85 @@ def test_product_form_logs_cap():
     t = convergents(CFExpansion.preset("golden"), 20)
     with pytest.raises(EnumerationCapError):
         product_form_logs(t, 20, cap=100)
+
+
+def _pf_rel_err(batch, direct):
+    """Gate 02's disagreement measure: worst |batch - direct| / (1 + |direct|)."""
+    return float(np.max(np.abs(batch - direct) / (1.0 + np.abs(direct))))
+
+
+def _coprime_fractions(max_q=600):
+    return st.builds(
+        Fraction,
+        st.integers(min_value=1, max_value=max_q - 1),
+        st.integers(min_value=2, max_value=max_q),
+    ).filter(lambda r: 0 < r < 1)
+
+
+@given(_coprime_fractions())
+@settings(max_examples=200, deadline=None)
+def test_product_form_logs_matches_direct_prefix(r):
+    cf = cf_expand(r)
+    t = convergents(cf, cf.L)
+    batch = product_form_logs(t, cf.L)
+    assert batch.shape == (r.denominator,)
+    assert _pf_rel_err(batch, sudler_prefix_logmags(r, r.denominator - 1)) <= 1e-9
+
+
+@given(_coprime_fractions(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_form_logs_matches_per_N_product_form(r, data):
+    cf = cf_expand(r)
+    t = convergents(cf, cf.L)
+    batch = product_form_logs(t, cf.L)
+    Ns = data.draw(st.lists(st.integers(0, r.denominator - 1), min_size=1, max_size=4))
+    for N in Ns:
+        want = product_form_eval(ostrowski_encode(N, t), t).log_mag
+        assert abs(batch[N] - want) <= 1e-9 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("digits", [[57, 2, 1, 3, 2, 1, 1, 2], [2, 1, 60, 1, 2, 3, 1, 1]])
+def test_product_form_logs_wide_level(digits):
+    # a partial quotient >= 50 below several digits: one level holds dozens
+    # of free nodes, each with a digit range of 50 or more
+    cf = CFExpansion.from_partial_quotients(0, digits)
+    t = convergents(cf, cf.L)
+    r = t.alpha_exact
+    q = r.denominator
+    batch = product_form_logs(t, cf.L)
+    assert _pf_rel_err(batch, sudler_prefix_logmags(r, q - 1)) <= 1e-9
+    rng = random.Random(q)
+    for N in [q - 1, t.q(cf.L - 1) - 1] + rng.sample(range(q), 4):
+        want = product_form_eval(ostrowski_encode(N, t), t).log_mag
+        assert abs(batch[N] - want) <= 1e-9 * (1 + abs(want))
+
+
+@given(st.integers(8, 12), st.data())
+@settings(max_examples=10, deadline=None)
+def test_product_form_logs_float_fallback_depths(K, data):
+    t = convergents(CFExpansion.preset("e-2"), 30)
+    assert t.alpha_exact.denominator >= 1 << 31  # the float path runs
+    qK = t.q(K)
+    # n alpha mod 1 comes from float(alpha): an argument is off by up to
+    # about q_K 2^-52, and a factor near ||q_{K-1} alpha|| ~ 1/q_K turns that
+    # into a log error of about q_K^2 2^-52 (measured: 0.04 to 0.22 of it)
+    tol = max(1e-9, qK**2 * 2.0**-52)
+    batch = product_form_logs(t, K)
+    assert _pf_rel_err(batch, sudler_prefix_logmags(t.alpha_exact, qK - 1)) <= tol
+    N = data.draw(st.integers(0, qK - 1))
+    want = product_form_eval(ostrowski_encode(N, t), t).log_mag
+    assert abs(batch[N] - want) <= tol * (1 + abs(want))
+
+
+def test_product_form_logs_float_pole_guard_carries_n(monkeypatch):
+    # every reflected argument is below a guard of 1/2, so the first segment
+    # of the top level trips it, at its smallest argument
+    t = convergents(CFExpansion.preset("e-2"), 30)
+    monkeypatch.setattr(trig, "POLE_GUARD", 0.5)
+    with pytest.raises(ZeroFactorError) as exc:
+        product_form_logs(t, 8)
+    u = np.arange(1, t.partial(8) * t.q(7) + 1) * float(t.alpha_exact) % 1.0
+    assert exc.value.n == int(np.argmin(np.minimum(u, 1.0 - u))) + 1
 
 
 # -- cotangent sums -----------------------------------------------------------
