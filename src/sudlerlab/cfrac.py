@@ -23,14 +23,11 @@ import re
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-import mpmath
-
 from .errors import PrecondError
 
 Rational = Fraction
 
 DEFAULT_GUARD_DEPTH = 8
-MIN_PRECISION_BITS = 128
 
 
 def _euclid_digits(num: int, den: int) -> tuple[int, list[int]]:
@@ -269,13 +266,11 @@ class ConvergentTable:
         self._p = p
         self._q = q
         self.alpha_exact = Fraction(p[ref_depth + 1], q[ref_depth + 1])
-        self.precision_bits = max(MIN_PRECISION_BITS, 2 * q[ref_depth + 1].bit_length())
 
         num, den = self.alpha_exact.numerator, self.alpha_exact.denominator
         self._theta = [
             Fraction(q[l + 1] * num - p[l + 1] * den, den) for l in range(-1, depth + 1)
         ]
-        self._theta_floats: list[float] | None = None
 
     # -- row access (ell >= -1 everywhere) ------------------------------------
 
@@ -304,18 +299,6 @@ class ConvergentTable:
     def dist(self, ell: int) -> Fraction:
         """|theta_ell|; equals ||q_ell alpha|| for ell >= 1."""
         return abs(self.theta(ell))
-
-    def theta_mpf(self, ell: int) -> mpmath.mpf:
-        """theta_ell rounded to the table's precision budget."""
-        t = self.theta(ell)
-        with mpmath.workprec(self.precision_bits):
-            return mpmath.mpf(t.numerator) / mpmath.mpf(t.denominator)
-
-    def theta_floats(self) -> list[float]:
-        """float64 thetas for rows 0..depth (kernel fast path)."""
-        if self._theta_floats is None:
-            self._theta_floats = [float(t) for t in self._theta[1:]]
-        return self._theta_floats
 
     def __repr__(self) -> str:
         return f"ConvergentTable({self.cf!r}, depth={self.depth})"

@@ -48,15 +48,12 @@ PRESETS = ("golden", "sqrt2inv", "e-2")
 class Config:
     """Process-wide knobs; flags override the optional key=value file."""
 
-    precision_bits: int = 128
     qcap: int = 10**4
     Ncap: int = 200
     threads: int = 1
     output_path: str | None = None
 
     def validate(self) -> "Config":
-        if self.precision_bits < 64:
-            raise PrecondError(f"precision_bits >= 64 required, got {self.precision_bits}")
         if self.qcap < 2 or self.Ncap < 2:
             raise PrecondError("qcap and Ncap must be >= 2")
         if self.threads < 1:
@@ -64,7 +61,7 @@ class Config:
         return self
 
 
-_INT_KEYS = {"precision_bits", "qcap", "Ncap", "threads"}
+_INT_KEYS = {"qcap", "Ncap", "threads"}
 
 
 def _config_from_file(path: str) -> dict:
@@ -104,7 +101,6 @@ def load_config(args: argparse.Namespace) -> Config:
     overrides = {
         name: getattr(args, flag)
         for name, flag in [
-            ("precision_bits", "precision_bits"),
             ("qcap", "qcap"),
             ("Ncap", "ncap"),
             ("threads", "threads"),
@@ -112,10 +108,7 @@ def load_config(args: argparse.Namespace) -> Config:
         ]
         if getattr(args, flag, None) is not None
     }
-    cfg = replace(cfg, **overrides).validate()
-    # the convergent tables take this as their precision floor
-    cfrac.MIN_PRECISION_BITS = max(cfg.precision_bits, 64)
-    return cfg
+    return replace(cfg, **overrides).validate()
 
 
 # -- formatting ---------------------------------------------------------------------
@@ -285,7 +278,6 @@ def _add_common_flags(ap: argparse.ArgumentParser, subcommand: bool) -> None:
     # they can be given on either side of the subcommand; the subparser
     # copies default to SUPPRESS so they never clobber a prefix value
     kw = {"default": argparse.SUPPRESS} if subcommand else {}
-    ap.add_argument("--precision-bits", dest="precision_bits", type=int, **kw)
     ap.add_argument("--qcap", type=int, **kw)
     ap.add_argument("--ncap", type=int, **kw)
     ap.add_argument("--threads", type=int, **kw)

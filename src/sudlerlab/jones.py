@@ -26,12 +26,15 @@ import numpy as np
 from scipy.integrate import quad
 
 from sudlerlab.cfrac import CFExpansion, cf_expand, cf_tail, convergents
-from sudlerlab.errors import PrecondError, QuadratureError, ZeroFactorError
+from sudlerlab.errors import EnumerationCapError, PrecondError, QuadratureError, ZeroFactorError
 from sudlerlab.trig import (
+    DEFAULT_ENUM_CAP,
     LogNumber,
+    _first_zero,
+    _logf_residues,
     _logsumexp,
     _logsumexp_rows,
-    sudler_prefix_logmags,
+    _shift_residues,
 )
 
 __all__ = [
@@ -99,12 +102,13 @@ _BLOCK_TERMS = 1 << 18
 
 
 def _logJ_rows(q: int, ps) -> list[float]:
-    """log J(p/q) for each p in ps; every p coprime to q, 2 <= q <= 2^31.
+    """log J(p/q) for each p in ps; every p coprime to q, 0 < p < q.
 
     All P_N(p/q) of one denominator read the same table log(2 sin(pi k/q)),
     k <= q/2: row p gathers it at min(r, q - r), r = n p mod q, and takes the
-    cumulative sum.  Rows go through the log-sum-exp a block at a time.  The
-    bound on q keeps n p < 2^62, so the residues are exact in int64.
+    cumulative sum.  Rows go through the log-sum-exp a block at a time.
+    Callers keep q within trig.DEFAULT_ENUM_CAP (2^21), so n p < 2^42 and the
+    residues are exact in int64.
     """
     ps = np.asarray(ps, dtype=np.int64)
     table = np.zeros(q // 2 + 1)  # entry 0 (a vanishing factor) is never read
@@ -124,10 +128,15 @@ def _logJ_rows(q: int, ps) -> list[float]:
 
 @lru_cache(maxsize=1 << 20)
 def _logJ_mag(p: int, q: int) -> float:
+    """log J(p/q) for 0 <= p < q, cached.
+
+    Raises EnumerationCapError, before anything is allocated, when q exceeds
+    trig.DEFAULT_ENUM_CAP (2^21).
+    """
+    if q > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(f"denominator q = {q} exceeds cap {DEFAULT_ENUM_CAP}")
     if q == 1:
         return 0.0
-    if q > 1 << 31:  # n p could overflow int64: trig's bigint residue path
-        return _logsumexp(2.0 * sudler_prefix_logmags(Fraction(p, q), q - 1))
     return _logJ_rows(q, [p])[0]
 
 
@@ -194,18 +203,13 @@ def _shifted_J_logmag(p: int, q: int, shift: Fraction) -> float:
     """log of sum_{N<q} P_N(p/q, shift)^2 with exact residue arithmetic."""
     if q == 1:
         return 0.0
-    den = q * shift.denominator // math.gcd(q, shift.denominator)
-    step = (den // q) * (p % q) % den
-    off = shift.numerator * (den // shift.denominator) % den
-    n = np.arange(1, q, dtype=np.int64)
-    res = (n * step + off) % den
-    if np.any(res == 0):
-        bad = int(np.flatnonzero(res == 0)[0]) + 1
+    res, den = _shift_residues(Fraction(p, q), shift, q - 1)
+    bad = _first_zero(res)
+    if bad:
         raise ZeroFactorError(f"shifted factor n={bad} vanishes", n=bad)
-    rm = np.minimum(res, den - res)
     prefix = np.empty(q)
     prefix[0] = 0.0
-    np.cumsum(np.log(2.0 * np.sin(np.pi * (rm / den))), out=prefix[1:])
+    np.cumsum(_logf_residues(res, den), out=prefix[1:])
     return _logsumexp(2.0 * prefix)
 
 

@@ -60,7 +60,7 @@ LOG2 = math.log(2.0)
 # poles / zero factors of f at floating arguments are decided at this distance
 POLE_GUARD = 1e-13
 
-# product_form_logs refuses to materialize more values than this
+# product_form_logs and the Jones sums refuse to materialize more values than this
 DEFAULT_ENUM_CAP = 1 << 21
 
 # exact values of log f on the small torus rationals that tests pin down
@@ -221,6 +221,40 @@ def sudler_prefix_logmags(r: Fraction, N_max: int) -> np.ndarray:
     return out
 
 
+def _residues(P: int, Q: int, m: int, off: int = 0) -> np.ndarray:
+    """(n P + off) mod Q for n = 1..m, exact for every modulus Q >= 1.
+
+    The array is int64 while m P + off (P and off reduced mod Q) and the sum
+    of two residues stay below 2^63, and holds Python ints otherwise; either
+    way the integers are the same.  Callers may add two residues and reduce
+    again in the returned dtype.
+    """
+    P, off = P % Q, off % Q
+    small = Q < 1 << 62 and m * P + off < 1 << 63
+    n = np.arange(1, m + 1, dtype=np.int64 if small else object)
+    return (n * P + off) % Q
+
+
+def _logf_residues(r: np.ndarray, Q: int) -> np.ndarray:
+    """log f(r/Q) for exact nonzero residues r mod Q, reflected into (0, 1/2]."""
+    rm = np.minimum(r, Q - r)
+    return np.log(2.0 * np.sin(np.pi * np.asarray(rm / Q, dtype=np.float64)))
+
+
+def _shift_residues(alpha: Fraction, x, N: int) -> tuple[np.ndarray, int]:
+    """(r, den) with n alpha + x = r[n - 1]/den mod 1 exactly, n = 1..N."""
+    xf = Fraction(x)
+    den = math.lcm(alpha.denominator, xf.denominator)
+    step = alpha.numerator * (den // alpha.denominator)
+    return _residues(step, den, N, xf.numerator * (den // xf.denominator)), den
+
+
+def _first_zero(res: np.ndarray) -> int:
+    """1-based index of the first zero residue, or 0 when there is none."""
+    zeros = np.flatnonzero(res == 0)
+    return int(zeros[0]) + 1 if zeros.size else 0
+
+
 def sudler_prefix_logs(r: Fraction, N_max: int) -> list[LogNumber]:
     """P_N(r) for N = 0..N_max as LogNumbers, rational r, N_max < den(r)."""
     return [LogNumber(v) for v in sudler_prefix_logmags(r, N_max)]
@@ -250,22 +284,11 @@ def shifted_sudler(alpha, x, N: int) -> LogNumber:
         return _LOG_ONE
     alpha = _resolve_alpha(alpha)
     if isinstance(alpha, Fraction) and _is_exact(x):
-        xf = Fraction(x)
-        den = alpha.denominator * xf.denominator // math.gcd(
-            alpha.denominator, xf.denominator
-        )
-        step = alpha.numerator * (den // alpha.denominator) % den
-        rnum = xf.numerator * (den // xf.denominator) % den
-        logs = []
-        for n in range(1, N + 1):
-            rnum += step
-            if rnum >= den:
-                rnum -= den
-            if rnum == 0:
-                raise ZeroFactorError(f"factor n={n} vanishes exactly", n=n)
-            tm = min(rnum, den - rnum)
-            logs.append(math.log(2.0 * math.sin(math.pi * float(Fraction(tm, den)))))
-        return LogNumber(math.fsum(logs))
+        res, den = _shift_residues(alpha, x, N)
+        n = _first_zero(res)
+        if n:
+            raise ZeroFactorError(f"factor n={n} vanishes exactly", n=n)
+        return LogNumber(math.fsum(_logf_residues(res, den)))
     af, xfl = float(alpha), float(x)
     n = np.arange(1, N + 1, dtype=np.float64)
     t = (n * af + xfl) % 1.0
@@ -382,31 +405,22 @@ def product_form_logs(table: ConvergentTable, K: int, cap: int = DEFAULT_ENUM_CA
     evaluations, with a working set of a few times q_K floats per level.
     Every float addition happens in the order of a node-by-node walk.
 
-    Arguments are exact integer residues mod the table's reference
-    denominator whenever that fits in int64 arithmetic; otherwise a floating
-    fallback is used, where a factor within POLE_GUARD of a zero raises
-    ZeroFactorError with its index n in the segment.  Raises
+    Every argument is an exact integer residue mod the table's reference
+    denominator Q, for any Q (see _residues); there is no floating fallback,
+    so the result does not degrade on deep tables.  Raises
     EnumerationCapError when q_K exceeds cap.
     """
     qK = table.q(K)
     if qK > cap:
         raise EnumerationCapError(f"q_K = {qK} exceeds cap {cap}")
-    alpha = table.alpha_exact
-    Q = alpha.denominator
-    # int64 headroom: residues stay below Q, products below arange_max * P
-    exact = Q < (1 << 31) and qK < (1 << 31) and (2 * qK + 2) * (
-        alpha.numerator % Q or 1
-    ) < (1 << 62)
     out = np.zeros(qK)
     if K == 0:
         return out
-    if exact:
-        P = alpha.numerator % Q
-        t = np.zeros(1, dtype=np.int64)
-    else:
-        af = float(alpha)
-        thetaf = table.theta_floats()
-        t = np.zeros(1)
+    Q = table.alpha_exact.denominator
+    P = table.alpha_exact.numerator
+    # every level reads a prefix of these: width * q_l < q_K
+    base = _residues(P, Q, qK)
+    t = np.zeros(1, dtype=base.dtype)
     M = np.zeros(1, dtype=np.int64)
     acc = np.zeros(1)
     nfree = 1
@@ -417,28 +431,12 @@ def product_form_logs(table: ConvergentTable, K: int, cap: int = DEFAULT_ENUM_CA
         width = table.partial(ell + 1) - (ell == 0)
         if width == 0:
             continue
-        tf = t[:nfree, None]
-        if exact:
-            n = np.arange(1, width * q_l + 1, dtype=np.int64)
-            r = (n * P % Q + tf) % Q
-            rm = np.minimum(r, Q - r)
-            logs = np.log(2.0 * np.sin(np.pi * (rm / Q)))
-        else:
-            n = np.arange(1, width * q_l + 1, dtype=np.float64)
-            u = (n * af % 1.0 + tf) % 1.0
-            um = np.minimum(u, 1.0 - u)
-            bad = np.flatnonzero((um < POLE_GUARD).any(axis=1))
-            if bad.size:
-                k = int(np.argmin(um[bad[0]])) + 1
-                raise ZeroFactorError(f"segment factor n={k} within pole guard", n=k)
-            logs = np.log(2.0 * np.sin(np.pi * um))
+        logs = _logf_residues((base[: width * q_l] + t[:nfree, None]) % Q, Q)
         # row i, column b - 1: the log of the first b segments of node i
         g = np.cumsum(logs, axis=1)[:, q_l - 1 :: q_l]
         b = np.arange(1, width + 1)[:, None]
-        if exact:
-            tb = (t[:nfree] + b * (q_l * alpha.numerator - table.p(ell) * Q)) % Q
-        else:
-            tb = t[:nfree] + b * thetaf[ell]
+        # child shifts b theta_l Q mod Q = b q_l P mod Q, b = 1..width
+        tb = (t[:nfree] + _residues(q_l * P, Q, width)[:, None]) % Q
         # children in digit-major order, so the maxed ones (b = a_{l+1}) come last
         t = np.concatenate([t, tb.ravel()])
         M = np.concatenate([M, (M[:nfree] + b * q_l).ravel()])
@@ -460,21 +458,11 @@ def cotangent_sum(alpha, x, N: int) -> float:
         return 0.0
     alpha = _resolve_alpha(alpha)
     if isinstance(alpha, Fraction) and _is_exact(x):
-        xf = Fraction(x)
-        den = alpha.denominator * xf.denominator // math.gcd(
-            alpha.denominator, xf.denominator
-        )
-        step = alpha.numerator * (den // alpha.denominator) % den
-        rnum = xf.numerator * (den // xf.denominator) % den
-        terms = []
-        for n in range(1, N + 1):
-            rnum += step
-            if rnum >= den:
-                rnum -= den
-            if rnum == 0:
-                raise PoleError(f"cot pole at n={n}", n=n)
-            terms.append(1.0 / math.tan(math.pi * float(Fraction(rnum, den))))
-        return math.fsum(terms)
+        res, den = _shift_residues(alpha, x, N)
+        n = _first_zero(res)
+        if n:
+            raise PoleError(f"cot pole at n={n}", n=n)
+        return math.fsum(1.0 / np.tan(np.pi * np.asarray(res / den, dtype=np.float64)))
     af, xfl = float(alpha), float(x)
     n = np.arange(1, N + 1, dtype=np.float64)
     t = (n * af + xfl) % 1.0

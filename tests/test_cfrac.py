@@ -157,18 +157,31 @@ def test_convergent_identities_exact(r):
     assert t.dist(L) == 0
 
 
+def precision_bits(t: ConvergentTable) -> int:
+    """A precision budget for the table: twice the reference denominator's bits."""
+    return max(128, 2 * t.alpha_exact.denominator.bit_length())
+
+
+def theta_mpf(t: ConvergentTable, ell: int) -> mpmath.mpf:
+    """theta_ell rounded to the table's precision budget."""
+    th = t.theta(ell)
+    with mpmath.workprec(precision_bits(t)):
+        return mpmath.mpf(th.numerator) / mpmath.mpf(th.denominator)
+
+
 def test_norm_recursion_within_precision_budget():
     # ||q_{l+1} a|| = -a_{l+1} ||q_l a|| + ||q_{l-1} a|| as mpf residual
     for cf in [CFExpansion.preset("golden"), CFExpansion.preset("e-2")]:
         t = convergents(cf, 20)
-        with mpmath.workprec(t.precision_bits):
+        bits = precision_bits(t)
+        with mpmath.workprec(bits):
             for l in range(0, 20):
                 res = abs(
-                    t.theta_mpf(l + 1)
-                    - t.partial(l + 1) * t.theta_mpf(l)
-                    - t.theta_mpf(l - 1)
+                    theta_mpf(t, l + 1)
+                    - t.partial(l + 1) * theta_mpf(t, l)
+                    - theta_mpf(t, l - 1)
                 )
-                assert res < mpmath.mpf(2) ** -(t.precision_bits - 10)
+                assert res < mpmath.mpf(2) ** -(bits - 10)
 
 
 def test_truncation_table_is_exact_for_presets():
@@ -179,7 +192,6 @@ def test_truncation_table_is_exact_for_presets():
     assert trunc == cf.truncation(18)
     for l in range(11):
         assert t.theta(l) == t.q(l) * trunc - t.p(l)
-    assert t.precision_bits >= 128
 
 
 # -- Ostrowski ----------------------------------------------------------------

@@ -210,7 +210,7 @@ def test_global_flags_accepted_after_subcommand(tmp_path, capsys):
     assert rc == 0
     assert post.read_bytes() == pre.read_bytes()
     # a prefix value survives the subparser pass
-    rc, out, _ = run(["--precision-bits", "256", "eval", "1/2"], capsys)
+    rc, out, _ = run(["--threads", "2", "eval", "1/2"], capsys)
     assert rc == 0 and _record(out)["q"] == "2"
 
 
@@ -246,17 +246,24 @@ def test_arithmetic_errors_exit_2(exc, capsys, monkeypatch):
     assert rc == 2 and err == "error: landed on it\n"
 
 
+@pytest.mark.parametrize("x", ["1/2097153", "2097153/5"])
+def test_eval_denominator_past_enum_cap_exits_4(x, capsys):
+    # q = 2^21 + 1 at x itself, or at the 1/x side of h
+    rc, _, err = run(["eval", x], capsys)
+    assert rc == 4 and err.startswith("resource cap:")
+
+
 # -- config ----------------------------------------------------------------------
 
 
 def test_config_file_is_read_and_flag_overrides(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "cfg.txt"
-    bad.write_text("precision_bits = 32\n")
+    bad.write_text("threads = 0\n")
     monkeypatch.setenv(cli.ENV_CONFIG, str(bad))
     rc, _, err = run(["eval", "1/2"], capsys)
-    assert rc == 2 and "precision_bits" in err
+    assert rc == 2 and "threads" in err
     # an explicit flag wins over the file
-    rc, out, _ = run(["--precision-bits", "256", "eval", "1/2"], capsys)
+    rc, out, _ = run(["--threads", "2", "eval", "1/2"], capsys)
     assert rc == 0 and "h = " in out
 
 
@@ -282,6 +289,23 @@ def test_config_rejects_guard_depth_key(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
     rc, _, err = run(["eval", "1/2"], capsys)
     assert rc == 2 and "unknown config key 'guard_depth'" in err
+
+
+def test_precision_bits_flag_is_gone(capsys):
+    for argv in (["--precision-bits", "256", "eval", "1/2"],
+                 ["eval", "--precision-bits", "256", "1/2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert "--precision-bits" in capsys.readouterr().err
+
+
+def test_config_rejects_precision_bits_key(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("precision_bits = 128\n")
+    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
+    rc, _, err = run(["eval", "1/2"], capsys)
+    assert rc == 2 and "unknown config key 'precision_bits'" in err
 
 
 def test_config_rejects_non_integer_value(tmp_path, capsys, monkeypatch):

@@ -18,6 +18,7 @@ from sudlerlab.cfrac import (
     ostrowski_enumerate,
 )
 from sudlerlab import trig
+from sudlerlab.jones import _shifted_J_logmag
 from sudlerlab.errors import (
     EnumerationCapError,
     PoleError,
@@ -284,7 +285,8 @@ def test_product_form_logs_batched_matches_direct():
 
 
 def test_product_form_logs_float_fallback():
-    # deep e-2 table: reference denominator exceeds int64 batching range
+    # deep e-2 table: the reference denominator is far past 2^31, and the
+    # walk's residues are still exact
     t = convergents(CFExpansion.preset("e-2"), 30)
     assert t.alpha_exact.denominator >= 1 << 31
     q8 = t.q(8)
@@ -350,32 +352,124 @@ def test_product_form_logs_wide_level(digits):
         assert abs(batch[N] - want) <= 1e-9 * (1 + abs(want))
 
 
-@given(st.integers(8, 12), st.data())
-@settings(max_examples=10, deadline=None)
-def test_product_form_logs_float_fallback_depths(K, data):
-    t = convergents(CFExpansion.preset("e-2"), 30)
-    assert t.alpha_exact.denominator >= 1 << 31  # the float path runs
-    qK = t.q(K)
-    # n alpha mod 1 comes from float(alpha): an argument is off by up to
-    # about q_K 2^-52, and a factor near ||q_{K-1} alpha|| ~ 1/q_K turns that
-    # into a log error of about q_K^2 2^-52 (measured: 0.04 to 0.22 of it)
-    tol = max(1e-9, qK**2 * 2.0**-52)
-    batch = product_form_logs(t, K)
-    assert _pf_rel_err(batch, sudler_prefix_logmags(t.alpha_exact, qK - 1)) <= tol
-    N = data.draw(st.integers(0, qK - 1))
-    want = product_form_eval(ostrowski_encode(N, t), t).log_mag
-    assert abs(batch[N] - want) <= tol * (1 + abs(want))
+def test_product_form_logs_deep_tables():
+    # depth-30 tables: Q has 60 (e-2) and 48 (sqrt2inv) bits, so q_K P leaves
+    # int64 on e-2 and the walk runs on Python-int residues there
+    for name in ("e-2", "sqrt2inv"):
+        t = convergents(CFExpansion.preset(name), 30)
+        assert t.alpha_exact.denominator >= 1 << 47
+        for K in range(8, 13):
+            qK = t.q(K)
+            batch = product_form_logs(t, K)
+            assert _pf_rel_err(batch, sudler_prefix_logmags(t.alpha_exact, qK - 1)) <= 1e-9
+            rng = random.Random(qK)
+            for N in [qK - 1, t.q(K - 1) - 1] + rng.sample(range(qK), 2):
+                want = product_form_eval(ostrowski_encode(N, t), t).log_mag
+                assert abs(batch[N] - want) <= 1e-9 * (1 + abs(want))
 
 
-def test_product_form_logs_float_pole_guard_carries_n(monkeypatch):
-    # every reflected argument is below a guard of 1/2, so the first segment
-    # of the top level trips it, at its smallest argument
-    t = convergents(CFExpansion.preset("e-2"), 30)
-    monkeypatch.setattr(trig, "POLE_GUARD", 0.5)
+def test_exact_zero_residue_carries_first_n():
+    # x = -n0 alpha makes factor n0 vanish, and again at n0 + den(alpha);
+    # the deep e-2 truncation takes the Python-int residue path
+    deep = convergents(CFExpansion.preset("e-2"), 30).alpha_exact
+    for alpha, n0, N in [(Fraction(89, 233), 7, 500), (deep, 37, 60)]:
+        x = -n0 * alpha
+        with pytest.raises(ZeroFactorError) as exc:
+            shifted_sudler(alpha, x, N)
+        assert exc.value.n == n0
+        with pytest.raises(PoleError) as exc:
+            cotangent_sum(alpha, x, N)
+        assert exc.value.n == n0
+        # one factor short of the zero, both sums are finite
+        assert math.isfinite(shifted_sudler(alpha, x, n0 - 1).log_mag)
+        assert math.isfinite(cotangent_sum(alpha, x, n0 - 1))
     with pytest.raises(ZeroFactorError) as exc:
-        product_form_logs(t, 8)
-    u = np.arange(1, t.partial(8) * t.q(7) + 1) * float(t.alpha_exact) % 1.0
-    assert exc.value.n == int(np.argmin(np.minimum(u, 1.0 - u))) + 1
+        _shifted_J_logmag(89, 233, Fraction(-5 * 89, 233))
+    assert exc.value.n == 5
+
+
+# -- exact residues ------------------------------------------------------------
+
+
+_MODULI = st.one_of(
+    st.integers(1, (1 << 62) - 1),
+    st.integers(1 << 62, 1 << 66),
+    st.sampled_from([(1 << 62) - 1, 1 << 62, (1 << 62) + 1]),
+)
+
+
+@given(_MODULI, st.integers(1, 40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_residues_match_python_ints(Q, m, data):
+    # P near 2^63 / m puts m P on either side of 2^63
+    P = data.draw(st.one_of(st.integers(-(1 << 66), 1 << 66),
+                            st.integers((1 << 63) // m - 4, (1 << 63) // m + 4)))
+    off = data.draw(st.integers(-(1 << 64), 1 << 64))
+    res = trig._residues(P, Q, m, off)
+    want = [(n * P + off) % Q for n in range(1, m + 1)]
+    assert [int(r) for r in res] == want
+    small = Q < 1 << 62 and m * (P % Q) + off % Q < 1 << 63
+    assert res.dtype == (np.int64 if small else object)
+    # the sum of two residues stays exact in the returned dtype
+    assert [int(r) for r in (res + res[::-1]) % Q] == [
+        (a + b) % Q for a, b in zip(want, reversed(want))
+    ]
+
+
+def loop_shifted_sudler(alpha: Fraction, x: Fraction, N: int) -> float:
+    """Per-factor Fraction loop: the oracle for the exact shifted_sudler path."""
+    logs = []
+    for n in range(1, N + 1):
+        t = (n * alpha + x) % 1
+        if t == 0:
+            raise ZeroFactorError(f"factor n={n} vanishes exactly", n=n)
+        logs.append(math.log(2.0 * math.sin(math.pi * float(min(t, 1 - t)))))
+    return math.fsum(logs)
+
+
+def loop_cotangent_sum(alpha: Fraction, x: Fraction, N: int) -> float:
+    """Per-factor Fraction loop: the oracle for the exact cotangent_sum path."""
+    terms = []
+    for n in range(1, N + 1):
+        t = (n * alpha + x) % 1
+        if t == 0:
+            raise PoleError(f"cot pole at n={n}", n=n)
+        terms.append(1.0 / math.tan(math.pi * float(t)))
+    return math.fsum(terms)
+
+
+def _outcome(fn, *args):
+    """('value', v) or ('zero', n) for a call that may hit a vanishing factor."""
+    try:
+        return "value", fn(*args)
+    except (ZeroFactorError, PoleError) as exc:
+        return "zero", exc.n
+
+
+@given(
+    st.integers(-(1 << 70), 1 << 70),
+    st.one_of(st.integers(2, 2000), st.integers(1 << 62, 1 << 70)),
+    st.integers(-3000, 3000),
+    st.integers(1, 3000),
+    st.integers(0, 300),
+    st.integers(0, 8),
+)
+@settings(max_examples=300, deadline=None)
+def test_exact_paths_match_fraction_loops(a, b, c, d, N, hit):
+    alpha, x = Fraction(a, b), Fraction(c, d)
+    if hit:  # aim x at a vanishing factor n = hit (and its period copies)
+        x = -hit * alpha
+    for fast, slow in [
+        (lambda *r: shifted_sudler(*r).log_mag, loop_shifted_sudler),
+        (cotangent_sum, loop_cotangent_sum),
+    ]:
+        kind, got = _outcome(fast, alpha, x, N)
+        want_kind, want = _outcome(slow, alpha, x, N)
+        assert kind == want_kind
+        if kind == "zero":
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-13 * (1 + abs(want))
 
 
 # -- cotangent sums -----------------------------------------------------------
