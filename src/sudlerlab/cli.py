@@ -221,9 +221,12 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     if failed:
         print(f"suite {args.suite}: {len(failed)}/{len(cases)} cases failed",
               file=sys.stderr)
-        return 3
-    print(f"suite {args.suite}: {len(cases)} cases passed", file=sys.stderr)
-    return 0
+    else:
+        print(f"suite {args.suite}: {len(cases)} cases passed", file=sys.stderr)
+    for rep in verify.merge_cases(cases):
+        print(f"  {rep.check_id}: {rep.cases_run} cases, worst margin "
+              f"{_fmt(rep.worst_margin)}", file=sys.stderr)
+    return 3 if failed else 0
 
 
 def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:

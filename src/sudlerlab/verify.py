@@ -3,12 +3,13 @@
 Every check evaluates its left-hand side by the direct oracle path (plain
 prefix products of |2 sin|, exact rational shifts), never through the
 approximation being tested, and compares against the stated envelope with a
-frozen empirical constant from sudlerlab.frozen.  Single-case checks return a
-CheckReport; suite drivers sweep deterministic corpora and emit per-case rows
-for the CSV report (check_id, case_id, lhs, rhs, margin, passed).
+frozen empirical constant from sudlerlab.frozen.  Each check is one `_parts`
+function (its sides and hypothesis gates); a suite driver sweeps a fixed
+corpus through it and writes the envelope into per-case CSV report rows
+(check_id, case_id, lhs, rhs, margin, passed).
 
 Margins are oriented so that margin >= 0 means the case passes; merged
-reports take the worst (minimum) margin and the largest fitted constant.
+reports take the worst (minimum) margin of each check_id.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -52,18 +53,9 @@ __all__ = [
     "CheckReport",
     "CheckCase",
     "merge_cases",
-    "check_local56_i",
-    "check_local56_ii",
-    "check_concentration",
-    "concentration_ratios",
     "concentration_hypothesis_ratio",
-    "check_sudler_factor",
-    "check_kashaev_factor",
     "xi_k",
-    "check_tail",
-    "tail_envelope_terms",
     "oscillation",
-    "scan_th3",
     "run_suite",
     "SUITES",
     "CONCENTRATION_INSTANCES",
@@ -81,7 +73,6 @@ class CheckReport:
     check_id: str
     cases_run: int
     worst_margin: float
-    fitted_constant: float
     passed: bool
 
 
@@ -97,16 +88,20 @@ class CheckCase:
     passed: bool
 
 
-def merge_cases(check_id: str, cases: Iterable[CheckCase], fitted: float) -> CheckReport:
-    cases = list(cases)
-    worst = min((c.margin for c in cases), default=math.inf)
-    return CheckReport(
-        check_id=check_id,
-        cases_run=len(cases),
-        worst_margin=worst,
-        fitted_constant=fitted,
-        passed=all(c.passed for c in cases),
-    )
+def merge_cases(cases: Iterable[CheckCase]) -> list[CheckReport]:
+    """One report per check_id, in order of first appearance."""
+    groups: dict[str, list[CheckCase]] = {}
+    for c in cases:
+        groups.setdefault(c.check_id, []).append(c)
+    return [
+        CheckReport(
+            check_id=check_id,
+            cases_run=len(rows),
+            worst_margin=min(c.margin for c in rows),
+            passed=all(c.passed for c in rows),
+        )
+        for check_id, rows in groups.items()
+    ]
 
 
 # -- shared plumbing -------------------------------------------------------------
@@ -134,10 +129,6 @@ def _log_max_partial(table: ConvergentTable, k: int) -> float:
     return math.log(max(table.partial(m) for m in range(1, k + 1)))
 
 
-def _digit(rep: OstrowskiRep, ell: int) -> int:
-    return rep.digit(ell)
-
-
 def _b_star(a_next: int) -> int:
     return (5 * a_next) // 6
 
@@ -150,7 +141,14 @@ def _case(check_id, case_id, lhs, rhs, ge=True) -> CheckCase:
 # -- local 5/6-principle ----------------------------------------------------------
 
 
-def _local56_i_parts(table: ConvergentTable, N: int, k: int):
+def _local56_parts(table: ConvergentTable, N: int, k: int):
+    """Digit-surgery lower bound lhs >= main - C err at level k.
+
+    Moving digit k to b* = floor((5/6)a_(k+1)) raises log P_N by at least the
+    Gaussian main term minus C err.  Returns (check_id, lhs, main, err):
+    "local56_ii" is the saturated case b_(k+1)(N) = a_(k+2), where b_k = 0 is
+    forced and digit k+1 drops by one, "local56_i" every other case.
+    """
     L = table.depth
     if not 0 <= k < L:
         raise PrecondError(f"need 0 <= k < L={L}, got k={k}")
@@ -158,73 +156,29 @@ def _local56_i_parts(table: ConvergentTable, N: int, k: int):
     if a_next < 7:
         raise PrecondError(f"hypothesis a_(k+1) >= 7 fails: {a_next}")
     rep = ostrowski_encode(N, table)
-    b_k = _digit(rep, k)
-    b_k1 = _digit(rep, k + 1)
     a_k2 = table.partial(k + 2) if k + 2 <= L else None
-    if a_k2 is not None and b_k1 >= a_k2:
-        raise PrecondError("case (i) needs b_(k+1)(N) < a_(k+2)")
     bstar = _b_star(a_next)
-    Nstar = N + (bstar - b_k) * table.q(k)
     mags = _prefix_mags(table)
+    if a_k2 is not None and rep.digit(k + 1) == a_k2:
+        Nstar = N + bstar * table.q(k) - table.q(k + 1)
+        srep = ostrowski_encode(Nstar, table)
+        assert srep.digit(k + 1) == a_k2 - 1 and srep.digit(k) == bstar
+        lhs = float(mags[Nstar] - mags[N])
+        main = 0.1615 * a_next
+        err = 1.0 + _log_max_partial(table, k) + math.log(a_k2)
+        a_k3 = table.partial(k + 3) if k + 3 <= L else None
+        if a_k2 == 1 and a_k3 is not None and rep.digit(k + 2) > 0.99 * a_k3:
+            err += a_k3
+        return "local56_ii", lhs, main, err
+    b_k = rep.digit(k)
+    Nstar = N + (bstar - b_k) * table.q(k)
     lhs = float(mags[Nstar] - mags[N])
     main = 0.2326 * (bstar - b_k) ** 2 / a_next
     err = abs(bstar - b_k) / a_next * (1.0 + _log_max_partial(table, k))
-    if b_k <= 1 and a_k2 is not None and b_k1 > 0.99 * a_k2:
+    if b_k <= 1 and a_k2 is not None and rep.digit(k + 1) > 0.99 * a_k2:
         err += math.log(a_k2)
     err += 1.0 / table.q(k) ** 2
-    return lhs, main, err
-
-
-def check_local56_i(table: ConvergentTable, N: int, k: int, C: float | None = None) -> CheckReport:
-    """Digit-surgery lower bound, case b_(k+1)(N) < a_(k+2).
-
-    Replacing the k-th Ostrowski digit by its optimum b* = floor((5/6)a_(k+1))
-    raises log P_N by at least the Gaussian main term minus the frozen error
-    envelope.
-    """
-    C = frozen.LOCAL56_C if C is None else C
-    lhs, main, err = _local56_i_parts(table, N, k)
-    margin = lhs - (main - C * err)
-    fitted = max(0.0, (main - lhs) / err) if err > 0 else 0.0
-    return CheckReport("local56_i", 1, margin, fitted, margin >= 0)
-
-
-def _local56_ii_parts(table: ConvergentTable, N: int, k: int):
-    L = table.depth
-    if not 0 <= k < L:
-        raise PrecondError(f"need 0 <= k < L={L}, got k={k}")
-    a_next = table.partial(k + 1)
-    if a_next < 7:
-        raise PrecondError(f"hypothesis a_(k+1) >= 7 fails: {a_next}")
-    if k + 2 > L:
-        raise PrecondError("case (ii) needs the digit b_(k+1) and a_(k+2)")
-    rep = ostrowski_encode(N, table)
-    a_k2 = table.partial(k + 2)
-    if _digit(rep, k + 1) != a_k2:
-        raise PrecondError("case (ii) needs b_(k+1)(N) = a_(k+2)")
-    bstar = _b_star(a_next)
-    Nstar = N + bstar * table.q(k) - table.q(k + 1)
-    # the surgery yields a valid expansion: digit k+1 drops by one, digit k
-    # rises from its forced 0 to b*
-    srep = ostrowski_encode(Nstar, table)
-    assert _digit(srep, k + 1) == a_k2 - 1 and _digit(srep, k) == bstar
-    mags = _prefix_mags(table)
-    lhs = float(mags[Nstar] - mags[N])
-    main = 0.1615 * a_next
-    err = 1.0 + _log_max_partial(table, k) + math.log(a_k2)
-    a_k3 = table.partial(k + 3) if k + 3 <= L else None
-    if a_k2 == 1 and a_k3 is not None and _digit(rep, k + 2) > 0.99 * a_k3:
-        err += a_k3
-    return lhs, main, err
-
-
-def check_local56_ii(table: ConvergentTable, N: int, k: int, C: float | None = None) -> CheckReport:
-    """Digit-surgery lower bound, saturated case b_(k+1)(N) = a_(k+2)."""
-    C = frozen.LOCAL56_C if C is None else C
-    lhs, main, err = _local56_ii_parts(table, N, k)
-    margin = lhs - (main - C * err)
-    fitted = max(0.0, (main - lhs) / err)
-    return CheckReport("local56_ii", 1, margin, fitted, margin >= 0)
+    return "local56_i", lhs, main, err
 
 
 # -- concentration of the squared mass --------------------------------------------
@@ -239,6 +193,13 @@ def concentration_hypothesis_ratio(table: ConvergentTable, k: int) -> float:
 
 
 def _concentration_parts(table: ConvergentTable, K: int, k: int, A: float):
+    """Squared-mass tail: digits far from b* carry a negligible share.
+
+    Enumerates N < q_K in log space and returns (label, log_tail, log_total)
+    for the unrestricted sum ("all") and for the sum restricted to
+    b_0 = ... = b_(k-1) = 0 ("head_zero"), the tail being the N whose k-th
+    digit lies at least 10 sqrt(a_(k+1) log a_(k+1)) from b*.
+    """
     L = table.depth
     if not 0 <= k < K <= L:
         raise PrecondError(f"need 0 <= k < K <= L={L}")
@@ -256,49 +217,27 @@ def _concentration_parts(table: ConvergentTable, K: int, k: int, A: float):
     head_zero = np.empty(qK, dtype=bool)
     for N in range(qK):
         rep = ostrowski_encode(N, table)
-        b_k[N] = _digit(rep, k)
-        head_zero[N] = all(_digit(rep, m) == 0 for m in range(k))
+        b_k[N] = rep.digit(k)
+        head_zero[N] = all(rep.digit(m) == 0 for m in range(k))
     tail_sel = np.abs(b_k - bstar) >= thresh
     out = []
     for label, base in [("all", np.ones(qK, dtype=bool)), ("head_zero", head_zero)]:
         log_total = _logsumexp(2.0 * mags[base])
         log_tail = _logsumexp(2.0 * mags[base & tail_sel])
-        out.append((label, log_tail, log_total - 20.0 * math.log(a_next)))
+        out.append((label, log_tail, log_total))
     return out
-
-
-def check_concentration(table: ConvergentTable, K: int, k: int,
-                        A: float | None = None) -> CheckReport:
-    """Squared-mass tail bound: digits far from b* carry a negligible share.
-
-    Both the unrestricted sum over N < q_K and the variant restricted to
-    b_0 = ... = b_(k-1) = 0 are verified by full enumeration in log space.
-    """
-    A = frozen.CONCENTRATION_A if A is None else A
-    parts = _concentration_parts(table, K, k, A)
-    worst = math.inf
-    fitted = 0.0
-    for _, log_tail, log_allowed in parts:
-        worst = min(worst, log_allowed - log_tail)
-        fitted = max(fitted, math.exp(log_tail - log_allowed))
-    return CheckReport("concentration", 2, worst, fitted, worst >= 0)
-
-
-def concentration_ratios(table: ConvergentTable, K: int, k: int,
-                         A: float | None = None) -> tuple[float, float]:
-    """Raw tail/total mass ratios (unrestricted, head-zero restricted)."""
-    A = frozen.CONCENTRATION_A if A is None else A
-    parts = _concentration_parts(table, K, k, A)
-    return tuple(
-        math.exp(log_tail - (log_allowed + 20.0 * math.log(table.partial(k + 1))))
-        for _, log_tail, log_allowed in parts
-    )
 
 
 # -- two-block factorization of the Sudler product ---------------------------------
 
 
 def _sudler_factor_parts(table: ConvergentTable, N: int, k: int):
+    """Split P_N into a 5/6-shifted head block and an unshifted tail block.
+
+    The head depends on the Ostrowski digits below k only, the tail on the
+    digits from k up.  Returns (err, unit): the log of the multiplicative
+    error and the envelope unit (dev+1)/a_(k+1) (1 + log max a_m).
+    """
     L = table.depth
     if not 1 <= k < L:
         raise PrecondError(f"need 1 <= k < L={L}")
@@ -307,7 +246,7 @@ def _sudler_factor_parts(table: ConvergentTable, N: int, k: int):
         raise PrecondError(f"hypothesis a_(k+1) >= 150 fails: {a_next}")
     rep = ostrowski_encode(N, table)
     bstar = _b_star(a_next)
-    dev = abs(_digit(rep, k) - bstar)
+    dev = abs(rep.digit(k) - bstar)
     if dev > a_next / 10:
         raise PrecondError("hypothesis |b_k - b*| <= a_(k+1)/10 fails")
     N1 = sum(rep.digit(m) * table.q(m) for m in range(k))
@@ -320,20 +259,6 @@ def _sudler_factor_parts(table: ConvergentTable, N: int, k: int):
     return err, unit
 
 
-def check_sudler_factor(table: ConvergentTable, N: int, k: int,
-                        C: float | None = None) -> CheckReport:
-    """Split P_N into a 5/6-shifted head block and an unshifted tail block.
-
-    The head depends on the Ostrowski digits below k only, the tail on the
-    digits from k up; the multiplicative error must sit inside the frozen
-    envelope C (dev+1)/a_(k+1) (1 + log max a_m).
-    """
-    C = frozen.SUDLER_FACTOR_C if C is None else C
-    err, unit = _sudler_factor_parts(table, N, k)
-    margin = C * unit - abs(err)
-    return CheckReport("sudler_factor", 1, margin, abs(err) / unit, margin >= 0)
-
-
 # -- factorization of the Jones sum ------------------------------------------------
 
 
@@ -344,6 +269,11 @@ def xi_k(table: ConvergentTable, k: int) -> float:
 
 
 def _kashaev_parts(cf: CFExpansion, k: int, K: int, A: float):
+    """Jones-sum factorization into the level-k 5/6-shifted block and the rest.
+
+    Returns (err, xi): the absolute log error of the factorization and the
+    admissibility parameter xi_k, which must not exceed A.
+    """
     if not cf.is_finite:
         raise PrecondError("need a rational alpha (finite expansion)")
     L = cf.L
@@ -363,20 +293,10 @@ def _kashaev_parts(cf: CFExpansion, k: int, K: int, A: float):
     keep = np.empty(qK, dtype=bool)
     for N in range(qK):
         rep = ostrowski_encode(N, table)
-        keep[N] = all(_digit(rep, m) == 0 for m in range(k))
+        keep[N] = all(rep.digit(m) == 0 for m in range(k))
     tail = _logsumexp(2.0 * mags[keep])
     err = abs(lhs - head - tail)
     return err, xi
-
-
-def check_kashaev_factor(cf: CFExpansion, k: int, K: int,
-                         A: float | None = None, C: float | None = None) -> CheckReport:
-    """Jones-sum factorization into the level-k 5/6-shifted block and the rest."""
-    A = frozen.KASHAEV_FACTOR_A if A is None else A
-    C = frozen.KASHAEV_FACTOR_C if C is None else C
-    err, xi = _kashaev_parts(cf, k, K, A)
-    margin = C * xi - err
-    return CheckReport("kashaev_factor", 1, margin, err / xi, margin >= 0)
 
 
 # -- tail estimate for renormalized blocks -----------------------------------------
@@ -384,11 +304,18 @@ def check_kashaev_factor(cf: CFExpansion, k: int, K: int,
 
 def _tail_parts(table: ConvergentTable, tail_table: ConvergentTable,
                 rep: OstrowskiRep, ell: int):
+    """Level-ell block of P_N against its first-quotient-dropped counterpart.
+
+    Returns (lhs, unit): lhs is the log of the product over b < b_ell(N) of
+    shifted single-period factors at alpha over the same product at
+    alpha' = tail(alpha), exactly 0 for an empty block (b_ell = 0), and unit
+    = s^(3/4)/q'_ell^(3/4) + log(a_1 + 1)/q'_ell.
+    """
     L = table.depth
     if not 1 <= ell < L:
         raise PrecondError(f"need 1 <= ell < L={L}")
     a1 = table.partial(1)
-    b_ell = _digit(rep, ell)
+    b_ell = rep.digit(ell)
     if ell == 1 and table.partial(2) == 1 and b_ell > 0:
         raise PrecondError("level 1 with a_2 = 1 admits only the empty block")
     qp_ell = tail_table.q(ell - 1)
@@ -398,7 +325,7 @@ def _tail_parts(table: ConvergentTable, tail_table: ConvergentTable,
     if ell + 2 <= L:
         a_next2 = table.partial(ell + 2)
         qp_next = tail_table.q(ell)
-        if not (a_next2 <= qp_next ** (1 / 100) or _digit(rep, ell + 1) <= 0.99 * a_next2):
+        if not (a_next2 <= qp_next ** (1 / 100) or rep.digit(ell + 1) <= 0.99 * a_next2):
             raise PrecondError("tail hypothesis (ii) fails")
     alpha = table.alpha_exact
     alpha_p = tail_table.alpha_exact
@@ -417,20 +344,6 @@ def _tail_parts(table: ConvergentTable, tail_table: ConvergentTable,
     s = sum(table.partial(m) for m in range(2, ell + 1))
     unit = s**0.75 / qp_ell**0.75 + math.log(a1 + 1) / qp_ell
     return lhs, unit
-
-
-def check_tail(table: ConvergentTable, tail_table: ConvergentTable,
-               rep: OstrowskiRep, ell: int, C: float | None = None) -> CheckReport:
-    """Level-ell block of P_N against its first-quotient-dropped counterpart.
-
-    The product over b < b_ell(N) of shifted single-period factors at alpha,
-    divided by the same product at alpha' = tail(alpha), must stay within the
-    frozen envelope; an empty block (b_ell = 0) gives log ratio 0.
-    """
-    C = frozen.TAIL_C if C is None else C
-    lhs, unit = _tail_parts(table, tail_table, rep, ell)
-    margin = C * unit - abs(lhs)
-    return CheckReport("tail", 1, margin, abs(lhs) / unit, margin >= 0)
 
 
 # -- oscillation of h over renormalization intervals -------------------------------
@@ -478,19 +391,6 @@ def _th3_sweep(Ncap: int):
     return sup_ratio, sup_psi, count
 
 
-def scan_th3(Ncap: int, bound: float | None = None) -> CheckReport:
-    """Sup of |h - Vol/(2 pi x)| / (1 + |log x|) over the Farey set F_Ncap.
-
-    The sup must stay below the frozen constant; sup |psi| over the same set
-    is recorded by the suite driver as boundedness evidence.
-    """
-    if Ncap < 2:
-        raise PrecondError(f"need Ncap >= 2, got {Ncap}")
-    bound = frozen.TH3_C if bound is None else bound
-    sup_ratio, _, count = _th3_sweep(Ncap)
-    return CheckReport("th3", count, bound - sup_ratio, sup_ratio, sup_ratio <= bound)
-
-
 # -- deterministic corpora ----------------------------------------------------------
 
 
@@ -528,10 +428,6 @@ def _random_digits(table: ConvergentTable, rng, overrides: dict | None = None) -
     return digits
 
 
-def _decode(table: ConvergentTable, digits: Sequence[int]) -> int:
-    return OstrowskiRep(digits, table).value()
-
-
 def local56_cases(
     seed: int = 0,
     n_random: int = 500,
@@ -544,20 +440,13 @@ def local56_cases(
     the inequality exactly tight, which is what the calibration tool reads.
     """
     rng = np.random.default_rng(seed)
-    C = frozen.LOCAL56_C
     cases = []
 
-    def case_i(table, N, k, label):
-        lhs, main, err = _local56_i_parts(table, N, k)
+    def add(table, N, k, label):
+        check_id, lhs, main, err = _local56_parts(table, N, k)
         if fits is not None and err > 0:
             fits.append(max(0.0, (main - lhs) / err))
-        cases.append(_case("local56_i", label, lhs, main - C * err))
-
-    def case_ii(table, N, k, label):
-        lhs, main, err = _local56_ii_parts(table, N, k)
-        if fits is not None and err > 0:
-            fits.append(max(0.0, (main - lhs) / err))
-        cases.append(_case("local56_ii", label, lhs, main - C * err))
+        cases.append(_case(check_id, label, lhs, main - frozen.LOCAL56_C * err))
 
     # constructed instances: one dominant quotient, full deviation sweep
     for a_big in (200, 300):
@@ -567,14 +456,15 @@ def local56_cases(
         step = max(1, a_big // 40)
         for b in range(0, a_big, step):
             digits = _random_digits(table, rng, overrides={k: b, k + 1: 0})
-            N = _decode(table, digits)
-            case_i(table, N, k, f"constructed_a{a_big}_b{b}")
+            add(table, OstrowskiRep(digits, table).value(), k,
+                f"constructed_a{a_big}_b{b}")
         # saturated case: b_(k+1) = a_(k+2) forces b_k = 0; pin b_(k+2) below
         # its own maximum so the forced zero cannot cascade onto b_(k+1)
         digits = _random_digits(
             table, rng, overrides={k + 1: table.partial(k + 2), k + 2: 0}
         )
-        case_ii(table, _decode(table, digits), k, f"constructed_a{a_big}_saturated")
+        add(table, OstrowskiRep(digits, table).value(), k,
+            f"constructed_a{a_big}_saturated")
 
     made = 0
     while made < n_random:
@@ -587,13 +477,7 @@ def local56_cases(
         if table.q(cf.L) > qmax:
             continue
         digits = _random_digits(table, rng)
-        N = _decode(table, digits)
-        rep = ostrowski_encode(N, table)
-        a_k2 = table.partial(k + 2) if k + 2 <= cf.L else None
-        if a_k2 is not None and _digit(rep, k + 1) == a_k2:
-            case_ii(table, N, k, f"random_{made}")
-        else:
-            case_i(table, N, k, f"random_{made}")
+        add(table, OstrowskiRep(digits, table).value(), k, f"random_{made}")
         made += 1
     return cases
 
@@ -618,12 +502,12 @@ def concentration_cases() -> list[CheckCase]:
     for label, digits, k in CONCENTRATION_INSTANCES:
         cf = CFExpansion.from_partial_quotients(0, digits)
         table = convergents(cf, cf.L)
-        for lab2, log_tail, log_allowed in _concentration_parts(
+        log_share = 20.0 * math.log(table.partial(k + 1))
+        for lab2, log_tail, log_total in _concentration_parts(
             table, cf.L, k, frozen.CONCENTRATION_A
         ):
-            cases.append(
-                _case("concentration", f"{label}_{lab2}", log_allowed, log_tail)
-            )
+            cases.append(_case("concentration", f"{label}_{lab2}",
+                               log_total - log_share, log_tail))
     return cases
 
 
@@ -649,8 +533,7 @@ def factor_cases(seed: int = 0, n_random: int = 200) -> list[CheckCase]:
             # keep b_(k+1) off its maximum so the forced-zero rule cannot clear b_k
             overrides[k + 1] = int(rng.integers(0, table.partial(k + 2)))
         digits = _random_digits(table, rng, overrides=overrides)
-        N = _decode(table, digits)
-        err, unit = _sudler_factor_parts(table, N, k)
+        err, unit = _sudler_factor_parts(table, OstrowskiRep(digits, table).value(), k)
         cases.append(_case("sudler_factor", f"random_{made}",
                            frozen.SUDLER_FACTOR_C * unit, abs(err)))
         made += 1
@@ -700,20 +583,10 @@ def tail_cases(seed: int = 0, n_random: int = 150, qmax: int = 5000) -> list[Che
     digits = _random_digits(
         table, np.random.default_rng(seed + 1), overrides={1: 1, 2: 0}
     )
-    rep = ostrowski_encode(_decode(table, digits), table)
+    rep = ostrowski_encode(OstrowskiRep(digits, table).value(), table)
     lhs, unit = _tail_parts(table, tail_table, rep, 1)
     cases.append(_case("tail", "large_a1", frozen.TAIL_C * unit, abs(lhs)))
     return cases
-
-
-def tail_envelope_terms(cf: CFExpansion, rep: OstrowskiRep, ell: int):
-    """(|log ratio|, power term, log(a_1+1) term) for envelope comparisons."""
-    table = convergents(cf, cf.L)
-    tail_table = convergents(cf_tail(cf), cf.L - 1)
-    lhs, _ = _tail_parts(table, tail_table, rep, ell)
-    qp_ell = tail_table.q(ell - 1)
-    s = sum(table.partial(m) for m in range(2, ell + 1))
-    return abs(lhs), s**0.75 / qp_ell**0.75, math.log(table.partial(1) + 1) / qp_ell
 
 
 # -- identity / estimate suites -----------------------------------------------------
@@ -817,7 +690,7 @@ def epsilon_cases(seed: int = 0) -> list[CheckCase]:
         rep = ostrowski_encode(N, table)
         eps = epsilon_vector(rep, table)
         for ell in range(cf.L):
-            if _digit(rep, ell) < 1:
+            if rep.digit(ell) < 1:
                 continue
             e = eps[ell]
             lo = -table.q(ell) * table.dist(ell) + table.q(ell) * table.dist(ell + 1)
@@ -826,13 +699,13 @@ def epsilon_cases(seed: int = 0) -> list[CheckCase]:
             # refined one-sided variants under digit restrictions, exact arithmetic
             if ell + 2 <= cf.L:
                 a2 = table.partial(ell + 2)
-                delta = 1 - Fraction(_digit(rep, ell + 1), a2)
+                delta = 1 - Fraction(rep.digit(ell + 1), a2)
                 if delta > 0:
                     ref_lo = -(1 - delta / 3) * table.q(ell) * table.dist(ell)
                     worst_ref_lo = min(worst_ref_lo, float(e - ref_lo))
             if ell + 3 <= cf.L:
                 a3 = table.partial(ell + 3)
-                delta = 1 - Fraction(_digit(rep, ell + 2), a3)
+                delta = 1 - Fraction(rep.digit(ell + 2), a3)
                 if delta > 0:
                     ref_hi = (1 - delta / 3) * table.q(ell) * table.dist(ell + 1)
                     worst_ref_hi = min(worst_ref_hi, float(ref_hi - e))
@@ -947,6 +820,11 @@ def continuity_cases(qcap: int = QCAP) -> list[CheckCase]:
 
 
 def th3_cases(Ncap: int = 200) -> list[CheckCase]:
+    """Sup of |h - Vol/(2 pi x)| / (1 + |log x|) over the Farey set F_Ncap.
+
+    The sup must stay below the frozen constant; sup |psi| over the same set
+    is recorded as boundedness evidence.
+    """
     sup_ratio, sup_psi, _ = _th3_sweep(Ncap)
     return [
         _case("th3", f"F{Ncap}_sup", sup_ratio, frozen.TH3_C, ge=False),

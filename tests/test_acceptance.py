@@ -250,7 +250,12 @@ def test_gate_09_two_scale_bounds_and_tail_mass():
     label, digits, k = verify.CONCENTRATION_INSTANCES[0]
     cf = CFExpansion.from_partial_quotients(0, digits)
     table = convergents(cf, cf.L)
-    ratios = verify.concentration_ratios(table, cf.L, k)
+    ratios = [
+        math.exp(log_tail - log_total)
+        for _, log_tail, log_total in verify._concentration_parts(
+            table, cf.L, k, frozen.CONCENTRATION_A
+        )
+    ]
     print(f"[gate 09] tail-mass ratios on {label}: {ratios}")
     assert max(ratios) <= 1e-10
 

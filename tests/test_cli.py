@@ -139,6 +139,24 @@ def test_verify_epsilon_report(tmp_path, capsys):
     assert all(r["passed"] == "True" for r in rows)
 
 
+def test_verify_prints_worst_margin_per_check(tmp_path, capsys):
+    path = tmp_path / "eps.csv"
+    rc, _, err = run(["--out", str(path), "verify", "--suite", "epsilon"], capsys)
+    assert rc == 0
+    rows = list(csv.DictReader(path.open()))
+    want = {}
+    for r in rows:
+        n, worst = want.get(r["check_id"], (0, math.inf))
+        want[r["check_id"]] = (n + 1, min(worst, float(r["margin"])))
+    lines = err.splitlines()
+    assert lines[0] == "suite epsilon: 4 cases passed"
+    assert lines[1:] == [
+        f"  {cid}: {n} cases, worst margin {worst:.17g}"
+        for cid, (n, worst) in want.items()
+    ]
+    assert [cid for cid in want] == ["epsilon_bounds", "ql_diff"]
+
+
 def test_verify_failing_suite_exits_3(tmp_path, capsys, monkeypatch):
     def fake_suite():
         return [verify._case("fake", "always_fails", 0.0, 1.0)]
@@ -147,6 +165,7 @@ def test_verify_failing_suite_exits_3(tmp_path, capsys, monkeypatch):
     rc, _, err = run(["--out", str(tmp_path / "f.csv"), "verify",
                       "--suite", "epsilon"], capsys)
     assert rc == 3 and "1/1 cases failed" in err
+    assert "  fake: 1 cases, worst margin -1" in err
 
 
 def test_verify_unknown_suite_is_parse_error(capsys):
@@ -340,3 +359,15 @@ def test_module_entry_point_subprocess():
     )
     assert res.returncode == 0
     assert "q = 3" in res.stdout
+
+
+def test_cli_import_loads_no_test_only_dependency():
+    code = (
+        "import sys, sudlerlab.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} "
+        "& {'scipy', 'mpmath', 'sympy'}))"
+    )
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

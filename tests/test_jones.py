@@ -138,6 +138,34 @@ def test_vol_is_scaled_psi_max():
     assert vol_41() == 2.0 * math.pi * psi_heuristic(Fraction(5, 6))
 
 
+def test_clausen_series_against_mpmath():
+    with mpmath.workdps(30):
+        for k in range(1, 121):
+            theta = math.pi * k / 120  # (0, pi], the series' working range
+            want = float(mpmath.clsin(2, theta))
+            assert abs(jones._clausen2(theta) - want) <= 1e-15, theta
+        # 2 Cl_2(pi/3) is the correctly rounded volume
+        assert vol_41() == float(2 * mpmath.clsin(2, mpmath.pi / 3))
+
+
+def test_psi_heuristic_is_scaled_clausen():
+    # Psi(y) = -Cl_2(2 pi y)/pi; theta = 2 pi y runs over (0, 2 pi)
+    with mpmath.workdps(30):
+        for k in range(1, 240):
+            want = float(-mpmath.clsin(2, 2 * mpmath.pi * k / 240) / mpmath.pi)
+            assert abs(psi_heuristic(Fraction(k, 240)) - want) <= 1e-15, k
+
+
+def test_psi_heuristic_above_half_against_quadrature():
+    with mpmath.workdps(30):
+        for y in [Fraction(k, 24) for k in range(13, 24)] + [Fraction(999, 1000)]:
+            integral = mpmath.quad(
+                lambda x: mpmath.log(2 * mpmath.sin(mpmath.pi * x)),
+                [0, mpmath.mpf(y.numerator) / y.denominator],
+            )
+            assert abs(psi_heuristic(y) - float(2 * integral)) <= 1e-15, y
+
+
 def test_psi_heuristic_endpoints():
     assert psi_heuristic(0) == 0.0
     # full-period integral of log|2 sin| vanishes

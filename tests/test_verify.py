@@ -25,7 +25,7 @@ def _make(digits):
 def _instance(table, overrides):
     rng = np.random.default_rng(7)
     digits = verify._random_digits(table, rng, overrides=overrides)
-    return verify._decode(table, digits)
+    return OstrowskiRep(digits, table).value()
 
 
 # -- digit-surgery lower bounds -----------------------------------------------------
@@ -35,16 +35,34 @@ def test_local56_i_passes_across_deviation_sweep():
     cf, table = _make([1, 1, 200, 1, 2])
     for b in (0, 40, 100, 166, 199):
         N = _instance(table, {2: b, 3: 0})
-        rep = verify.check_local56_i(table, N, 2)
-        assert rep.passed and rep.fitted_constant <= frozen.LOCAL56_C
+        check_id, lhs, main, err = verify._local56_parts(table, N, 2)
+        assert check_id == "local56_i" and err > 0
+        assert lhs - (main - frozen.LOCAL56_C * err) >= 0
+        assert max(0.0, (main - lhs) / err) <= frozen.LOCAL56_C
 
 
 def test_local56_neutral_digit_gives_exact_zeros():
     # at b_k = b* the surgery is the identity: both sides vanish
     cf, table = _make([1, 1, 200, 1, 2])
     N = _instance(table, {2: 166, 3: 0})
-    lhs, main, err = verify._local56_i_parts(table, N, 2)
+    check_id, lhs, main, err = verify._local56_parts(table, N, 2)
+    assert check_id == "local56_i"
     assert lhs == 0.0 and main == 0.0 and err > 0
+
+
+def test_local56_case_ii_exactly_when_next_digit_saturated():
+    # the suite's constructed instances at k = 2, over every N < q_L
+    k = 2
+    for a_big in (200, 300):
+        cf, table = _make([1, 1, a_big, 1, 2])
+        a_k2 = table.partial(k + 2)
+        seen = set()
+        for N in range(table.q(cf.L)):
+            check_id = verify._local56_parts(table, N, k)[0]
+            saturated = ostrowski_encode(N, table).digit(k + 1) == a_k2
+            assert check_id == ("local56_ii" if saturated else "local56_i")
+            seen.add(check_id)
+        assert seen == {"local56_i", "local56_ii"}
 
 
 def test_local56_ii_surgery_digits():
@@ -57,52 +75,60 @@ def test_local56_ii_surgery_digits():
     Nstar = N + bstar * table.q(k) - table.q(k + 1)
     srep = ostrowski_encode(Nstar, table)
     assert srep.digit(k) == bstar and srep.digit(k + 1) == a_k2 - 1
-    assert verify.check_local56_ii(table, N, k).passed
+    check_id, lhs, main, err = verify._local56_parts(table, N, k)
+    assert check_id == "local56_ii"
+    assert lhs - (main - frozen.LOCAL56_C * err) >= 0
 
 
 def test_local56_margin_monotone_in_constant():
+    # margin = lhs - main + C err grows with C exactly when err > 0
     cf, table = _make([1, 1, 200, 1, 2])
     N = _instance(table, {2: 30, 3: 0})
-    lo = verify.check_local56_i(table, N, 2, C=1.0).worst_margin
-    hi = verify.check_local56_i(table, N, 2, C=4.0).worst_margin
-    assert hi >= lo
+    _, _, _, err = verify._local56_parts(table, N, 2)
+    assert err > 0
 
 
 def test_local56_requires_minimum_quotient():
     cf, table = _make([1, 1, 3, 1, 2])
     with pytest.raises(PrecondError):
-        verify.check_local56_i(table, 0, 2)
+        verify._local56_parts(table, 0, 2)
 
 
 # -- squared-mass concentration -----------------------------------------------------
 
 
+def _tail_ratios(table, K, k):
+    parts = verify._concentration_parts(table, K, k, frozen.CONCENTRATION_A)
+    return tuple(math.exp(log_tail - log_total) for _, log_tail, log_total in parts)
+
+
 def test_concentration_empty_tail_is_exact_zero():
     # a_(k+1) = 300: the tail threshold 10 sqrt(a log a) > 250 covers every digit
     cf, table = _make([1, 300, 1, 2])
-    assert verify.concentration_ratios(table, cf.L, 1) == (0.0, 0.0)
+    assert _tail_ratios(table, cf.L, 1) == (0.0, 0.0)
 
 
 def test_concentration_nonempty_tail_still_negligible():
     cf, table = _make([1, 2000, 2])
-    r_all, r_head = verify.concentration_ratios(table, cf.L, 1)
+    r_all, r_head = _tail_ratios(table, cf.L, 1)
     # with a_1 = 1 the head digit is forced to zero, both sums agree
     assert r_all == r_head and 0 < r_all < 1e-150
-    rep = verify.check_concentration(table, cf.L, 1)
-    assert rep.passed and rep.cases_run == 2 and rep.worst_margin > 0
+    rows = [c for c in verify.concentration_cases() if c.case_id.startswith("a2000_tail_")]
+    assert len(rows) == 2 and all(c.passed for c in rows)
+    assert min(c.margin for c in rows) > 0
 
 
 def test_concentration_hypothesis_gate():
     cf, table = _make([1, 2, 3])
     assert verify.concentration_hypothesis_ratio(table, 1) > frozen.CONCENTRATION_A
     with pytest.raises(PrecondError):
-        verify.check_concentration(table, cf.L, 1)
+        verify._concentration_parts(table, cf.L, 1, frozen.CONCENTRATION_A)
 
 
 def test_concentration_enumeration_cap():
     cf, table = _make([1, 10**7, 2])
     with pytest.raises(EnumerationCapError):
-        verify.check_concentration(table, cf.L, 1)
+        verify._concentration_parts(table, cf.L, 1, frozen.CONCENTRATION_A)
 
 
 # -- two-block Sudler factorization -------------------------------------------------
@@ -118,18 +144,19 @@ def test_sudler_factor_zero_head_is_exact():
 def test_sudler_factor_report_within_envelope():
     cf, table = _make([2, 1, 300, 2, 3])
     N = _instance(table, {0: 1, 1: 1, 2: 250, 3: 1})
-    rep = verify.check_sudler_factor(table, N, 2)
-    assert rep.passed and 0 < rep.fitted_constant <= frozen.SUDLER_FACTOR_C
+    err, unit = verify._sudler_factor_parts(table, N, 2)
+    assert frozen.SUDLER_FACTOR_C * unit - abs(err) >= 0
+    assert 0 < abs(err) / unit <= frozen.SUDLER_FACTOR_C
 
 
 def test_sudler_factor_hypothesis_gates():
     cf, table = _make([2, 1, 100, 2, 3])
     with pytest.raises(PrecondError):
-        verify.check_sudler_factor(table, _instance(table, {2: 80, 3: 1}), 2)
+        verify._sudler_factor_parts(table, _instance(table, {2: 80, 3: 1}), 2)
     cf, table = _make([2, 1, 300, 2, 3])
     with pytest.raises(PrecondError):
         # deviation 150 from b* = 250 exceeds a_(k+1)/10
-        verify.check_sudler_factor(table, _instance(table, {2: 100, 3: 1}), 2)
+        verify._sudler_factor_parts(table, _instance(table, {2: 100, 3: 1}), 2)
 
 
 # -- Jones-sum factorization --------------------------------------------------------
@@ -147,19 +174,20 @@ def test_kashaev_error_shrinks_with_dominant_quotient():
 
 def test_kashaev_report_within_envelope():
     cf = CFExpansion.from_partial_quotients(0, [2, 400, 2, 3])
-    rep = verify.check_kashaev_factor(cf, 1, 4)
-    assert rep.passed and rep.fitted_constant <= frozen.KASHAEV_FACTOR_C
+    err, xi = verify._kashaev_parts(cf, 1, 4, frozen.KASHAEV_FACTOR_A)
+    assert frozen.KASHAEV_FACTOR_C * xi - err >= 0
+    assert err / xi <= frozen.KASHAEV_FACTOR_C
 
 
 def test_kashaev_requires_finite_expansion():
     with pytest.raises(PrecondError):
-        verify.check_kashaev_factor(CFExpansion.preset("golden"), 1, 4)
+        verify._kashaev_parts(CFExpansion.preset("golden"), 1, 4, frozen.KASHAEV_FACTOR_A)
 
 
 def test_kashaev_hypothesis_gate():
     cf = CFExpansion.from_partial_quotients(0, [2, 400, 2, 3])
     with pytest.raises(PrecondError):
-        verify.check_kashaev_factor(cf, 1, 4, A=1e-6)
+        verify._kashaev_parts(cf, 1, 4, 1e-6)
 
 
 # -- renormalized tail blocks -------------------------------------------------------
@@ -190,12 +218,12 @@ def test_tail_log_term_carries_large_first_quotient():
     # ratio is genuinely nonzero, so only the log(a_1 + 1) term can hold it
     cf, table = _make([40, 2, 3, 2, 2])
     rep = OstrowskiRep((30, 1, 0, 1, 1), table)
-    lhs, power, logterm = verify.tail_envelope_terms(cf, rep, 1)
-    assert power == 0.0 and logterm > 0
-    assert lhs > frozen.TAIL_C * power
-    assert lhs <= frozen.TAIL_C * (power + logterm)
     tail_table = convergents(cf_tail(cf), cf.L - 1)
-    assert verify.check_tail(table, tail_table, rep, 1).passed
+    lhs, unit = verify._tail_parts(table, tail_table, rep, 1)
+    logterm = math.log(table.partial(1) + 1) / tail_table.q(0)
+    assert unit == logterm and logterm > 0
+    assert abs(lhs) > 0
+    assert frozen.TAIL_C * unit - abs(lhs) >= 0
 
 
 def test_tail_rejects_bad_level():
@@ -235,11 +263,13 @@ def test_oscillation_cap():
 # -- value-model scan ---------------------------------------------------------------
 
 
-def test_scan_th3_within_frozen_bound():
+def test_th3_cases_within_frozen_bound():
     # F_60 is a subset of the F_100 calibration corpus, so its sup is covered
-    rep = verify.scan_th3(60)
-    assert rep.passed and rep.cases_run > 100
-    assert rep.fitted_constant <= frozen.TH3_C
+    sup, finite = verify.th3_cases(60)
+    assert sup.case_id == "F60_sup" and sup.passed and finite.passed
+    assert sup.lhs <= frozen.TH3_C
+    sup_ratio, _, count = verify._th3_sweep(60)
+    assert count > 100 and sup.lhs == sup_ratio
 
 
 # -- suite plumbing -----------------------------------------------------------------
@@ -265,11 +295,14 @@ def test_epsilon_suite_rows_all_pass():
 def test_merge_cases_takes_worst_margin():
     rows = [
         verify._case("x", "a", 2.0, 1.0),
+        verify._case("y", "c", 3.0, 1.0),
         verify._case("x", "b", 1.0, 1.5),
     ]
-    rep = verify.merge_cases("x", rows, fitted=0.25)
-    assert rep.cases_run == 2 and rep.worst_margin == -0.5
-    assert not rep.passed and rep.fitted_constant == 0.25
+    x, y = verify.merge_cases(rows)
+    assert x.check_id == "x" and x.cases_run == 2 and x.worst_margin == -0.5
+    assert not x.passed
+    assert y.check_id == "y" and y.cases_run == 1 and y.worst_margin == 2.0
+    assert y.passed
 
 
 def test_case_rows_carry_csv_fields_in_order():

@@ -82,7 +82,9 @@ def calibrate():
         c.lhs for c in cot_rows if c.case_id == "envelope"
     )
 
-    observed["TH3_C"] = verify.scan_th3(100).fitted_constant
+    observed["TH3_C"] = next(
+        c.lhs for c in verify.th3_cases(100) if c.case_id == "F100_sup"
+    )
 
     osc_rows = [
         c for c in verify.continuity_cases() if c.case_id.startswith("e-2_k")
