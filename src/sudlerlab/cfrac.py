@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 Irrational targets are handled through exact rational truncations: a table of
 depth D computes every real quantity from the truncation [a0; a1..a_{D+G}]
-with guard depth G, so all stored values are exact rationals of a
+with G = GUARD_DEPTH, so all stored values are exact rationals of a
 well-defined object and the three-term recursions hold exactly.
 """
 
@@ -27,7 +27,7 @@ from .errors import PrecondError
 
 Rational = Fraction
 
-DEFAULT_GUARD_DEPTH = 8
+GUARD_DEPTH = 8
 
 
 def _euclid_digits(num: int, den: int) -> tuple[int, list[int]]:
@@ -239,22 +239,21 @@ class ConvergentTable:
     """Convergents p_l/q_l, exact theta_l, and digit access for one target.
 
     Immutable after construction. For an infinite expansion the table is the
-    exact table of the truncation at depth + guard; for a finite expansion it
-    is exact for the value itself (guard unused) and depth may not exceed L.
+    exact table of the truncation at depth + GUARD_DEPTH; for a finite
+    expansion it is exact for the value itself and depth may not exceed L.
     """
 
-    def __init__(self, cf: CFExpansion, depth: int, guard: int = DEFAULT_GUARD_DEPTH):
+    def __init__(self, cf: CFExpansion, depth: int):
         if depth < 0:
             raise PrecondError("depth must be >= 0")
         if cf.is_finite and depth > cf.L:
             raise PrecondError(f"depth {depth} exceeds finite length L={cf.L}")
         self.cf = cf
         self.depth = depth
-        self.guard = guard if not cf.is_finite else 0
 
         # the exact reference value: the rational itself, or the truncation
-        # at depth + guard for an infinite expansion
-        ref_depth = cf.L if cf.is_finite else depth + guard
+        # at depth + GUARD_DEPTH for an infinite expansion
+        ref_depth = cf.L if cf.is_finite else depth + GUARD_DEPTH
         digits = cf.partials(ref_depth)
         # rows l = -1 .. ref_depth, stored with offset +1
         p = [1, cf.a0]
@@ -304,9 +303,9 @@ class ConvergentTable:
         return f"ConvergentTable({self.cf!r}, depth={self.depth})"
 
 
-def convergents(cf: CFExpansion, upto: int, guard: int = DEFAULT_GUARD_DEPTH) -> ConvergentTable:
+def convergents(cf: CFExpansion, upto: int) -> ConvergentTable:
     """Build the convergent table for rows 0..upto."""
-    return ConvergentTable(cf, upto, guard)
+    return ConvergentTable(cf, upto)
 
 
 class OstrowskiRep:

@@ -178,7 +178,7 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     print(f"x = {hv.x}")
     print(f"q = {hv.x.denominator}")
     print(f"cf = [{cf.a0}; {digits}]")
-    print(f"logJ = {_fmt(hv.logJ_x.log_mag)}")
+    print(f"logJ = {_fmt(hv.logJ_x)}")
     print(f"h = {_fmt(hv.h)}")
     print(f"psi = {_fmt(hv.psi)}")
     print(f"psi_star = {_fmt(hv.psi_star)}")

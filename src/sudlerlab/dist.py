@@ -52,7 +52,6 @@ __all__ = [
     "estimate_D",
     "ks_compare",
     "sweep",
-    "spearman_rank_corr",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -86,7 +85,7 @@ def statistic_logJ(r, N: int, D: float) -> float:
     """Normalized log J statistic of r relative to the sweep scale N."""
     if N < 3:
         raise PrecondError(f"need N >= 3, got {N}")
-    return float(_stat_logJ_from_mag(jones_J(r).log_mag, N, D))
+    return float(_stat_logJ_from_mag(jones_J(r), N, D))
 
 
 def _stat_pq_from_sum(sum_a, N: int):
@@ -389,14 +388,3 @@ def _D_from_rows(rows: np.ndarray, Ncap: int) -> float:
     return (2.0 * EULER_GAMMA - 2.0 * math.log(6.0 / math.pi)) / math.pi + (
         4.0 / vol_41()
     ) * integral
-
-
-def spearman_rank_corr(a, b) -> float:
-    """Spearman rank correlation of two equal-length samples."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ra = np.argsort(np.argsort(a)).astype(np.float64)
-    rb = np.argsort(np.argsort(b)).astype(np.float64)
-    ra -= ra.mean()
-    rb -= rb.mean()
-    return float((ra @ rb) / math.sqrt((ra @ ra) * (rb @ rb)))

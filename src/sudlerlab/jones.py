@@ -29,7 +29,6 @@ from sudlerlab.cfrac import CFExpansion, cf_expand, cf_tail, convergents
 from sudlerlab.errors import EnumerationCapError, PrecondError, ZeroFactorError
 from sudlerlab.trig import (
     DEFAULT_ENUM_CAP,
-    LogNumber,
     _first_zero,
     _logf_residues,
     _logsumexp,
@@ -152,19 +151,19 @@ def _logJ_mag(p: int, q: int) -> float:
     return _logJ_rows(q, [p])[0]
 
 
-def jones_J(r) -> LogNumber:
-    """J(r) = sum_{N < den(r)} P_N(r)^2 in log space; 1-periodic, J(int) = 1."""
+def jones_J(r) -> float:
+    """log J(r), J(r) = sum_{N < den(r)} P_N(r)^2; 1-periodic, J(int) = 1."""
     r = Fraction(r) % 1
-    return LogNumber(_logJ_mag(r.numerator, r.denominator))
+    return _logJ_mag(r.numerator, r.denominator)
 
 
 @dataclass(frozen=True)
 class HValue:
-    """Jones values at x and 1/x with the derived h, psi, psi* readings."""
+    """log J at x and 1/x with the derived h, psi, psi* readings."""
 
     x: Fraction
-    logJ_x: LogNumber
-    logJ_inv: LogNumber
+    logJ_x: float
+    logJ_inv: float
     h: float
     psi: float
     psi_star: float
@@ -182,7 +181,7 @@ def h_eval(r) -> HValue:
     t = abs(r)
     logJ_x = jones_J(t)
     logJ_inv = jones_J(1 / t)
-    h = logJ_x.log_mag - logJ_inv.log_mag
+    h = logJ_x - logJ_inv
     x = float(t)
     vol = vol_41()
     psi = h - vol / (2 * math.pi * x) + 1.5 * math.log(x)
@@ -202,7 +201,7 @@ def telescoping_logJ(r) -> tuple[float, float]:
     if not 0 < p < q:
         raise PrecondError(f"need 0 < p < q, got {r}")
     pbar = pow(p, -1, q)
-    lhs = jones_J(Fraction(pbar, q)).log_mag
+    lhs = jones_J(Fraction(pbar, q))
     cf = cf_expand(r)
     t = convergents(cf, cf.L)
     rhs = math.fsum(

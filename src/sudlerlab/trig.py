@@ -1,8 +1,10 @@
 """Log-space Sudler products and their renormalization machinery.
 
-Everything here works with f(x) = |2 sin(pi x)|.  Products of f-values are
+Everything here works with f(x) = |2 sin(pi x)| at exact rationals (Fraction
+or int; a float is read at its exact binary value).  Products of f-values are
 kept in log space throughout (they overflow linear floats almost
-immediately), wrapped in LogNumber.  The module provides:
+immediately) as plain floats, with -inf the log of a product that has a
+vanishing factor.  The module provides:
 
   * direct prefix products P_N(alpha) and shifted products P_N(alpha, x),
   * the digit-wise product form of P_N over an Ostrowski representation,
@@ -22,14 +24,11 @@ them valid verbatim at l = 0 even when a_1 = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational as _RationalABC
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from sudlerlab.cfrac import CFExpansion, ConvergentTable, OstrowskiRep, convergents
+from sudlerlab.cfrac import ConvergentTable, OstrowskiRep
 from sudlerlab.errors import (
     EnumerationCapError,
     PoleError,
@@ -38,10 +37,7 @@ from sudlerlab.errors import (
 )
 
 __all__ = [
-    "LogNumber",
-    "EpsilonVector",
     "log_f",
-    "sudler_prefix_logs",
     "sudler_prefix_logmags",
     "shifted_sudler",
     "kubert_rhs",
@@ -57,7 +53,7 @@ __all__ = [
 
 LOG2 = math.log(2.0)
 
-# poles / zero factors of f at floating arguments are decided at this distance
+# explicit_formula_eval decides the zero factors and poles of its float grid at this distance
 POLE_GUARD = 1e-13
 
 # product_form_logs and the Jones sums refuse to materialize more values than this
@@ -69,72 +65,6 @@ _EXACT_LOGF = {
     Fraction(1, 6): 0.0,
     Fraction(5, 6): 0.0,
 }
-
-
-@dataclass(frozen=True)
-class LogNumber:
-    """A nonnegative real stored as the natural log of its magnitude.
-
-    The zero element carries is_zero=True and log_mag=-inf.  Multiplication
-    adds logs; sums go through a sorted log-sum-exp so that the result does
-    not depend on operand order.
-    """
-
-    log_mag: float
-    is_zero: bool = False
-
-    @classmethod
-    def from_value(cls, v: float) -> "LogNumber":
-        if v < 0:
-            raise PrecondError(f"LogNumber represents nonnegative reals, got {v}")
-        if v == 0:
-            return _LOG_ZERO
-        return cls(math.log(v))
-
-    @property
-    def value(self) -> float:
-        """Linear-scale value; may overflow to inf for large log_mag."""
-        if self.is_zero:
-            return 0.0
-        try:
-            return math.exp(self.log_mag)
-        except OverflowError:
-            return math.inf
-
-    def __mul__(self, other: "LogNumber") -> "LogNumber":
-        if self.is_zero or other.is_zero:
-            return _LOG_ZERO
-        return LogNumber(self.log_mag + other.log_mag)
-
-    def __truediv__(self, other: "LogNumber") -> "LogNumber":
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero LogNumber")
-        if self.is_zero:
-            return _LOG_ZERO
-        return LogNumber(self.log_mag - other.log_mag)
-
-    def __pow__(self, k: int) -> "LogNumber":
-        if self.is_zero:
-            return _LOG_ZERO if k > 0 else LogNumber(0.0)
-        return LogNumber(k * self.log_mag)
-
-    @classmethod
-    def sum(cls, terms: Iterable["LogNumber"]) -> "LogNumber":
-        """Sorted log-sum-exp; permutation invariant by construction."""
-        mags = sorted(t.log_mag for t in terms if not t.is_zero)
-        if not mags:
-            return _LOG_ZERO
-        top = mags[-1]
-        # descending order feeds fsum the large terms first
-        s = math.fsum(math.exp(m - top) for m in reversed(mags))
-        return cls(top + math.log(s))
-
-    def __repr__(self) -> str:
-        return "LogNumber(zero)" if self.is_zero else f"LogNumber({self.log_mag!r})"
-
-
-_LOG_ZERO = LogNumber(-math.inf, is_zero=True)
-_LOG_ONE = LogNumber(0.0)
 
 
 def _logsumexp_rows(m: np.ndarray) -> list[float]:
@@ -157,40 +87,27 @@ def _logsumexp(mags) -> float:
     return _logsumexp_rows(np.asarray(mags, dtype=np.float64)[None, :])[0]
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, _RationalABC))
+def log_f(x) -> float:
+    """log f(x) = log|2 sin(pi x)| at an exact rational x; -inf where f vanishes.
 
-
-def log_f(x) -> LogNumber:
-    """log f(x) = log|2 sin(pi x)| as a LogNumber.
-
-    Exact rational input decides integrality (the zero of f) exactly and pins
-    the classical special values f(1/2) = 2, f(1/6) = f(5/6) = 1.  Floating
-    input within POLE_GUARD of an integer is flattened to the zero element
-    rather than returning a spuriously huge negative log.
+    Integrality (the zero of f) is decided exactly, and the classical special
+    values f(1/2) = 2, f(1/6) = f(5/6) = 1 are pinned.
     """
-    if _is_exact(x):
-        t = Fraction(x) % 1
-        if t == 0:
-            return _LOG_ZERO
-        exact = _EXACT_LOGF.get(t)
-        if exact is not None:
-            return LogNumber(exact)
-        tm = min(t, 1 - t)
-        return LogNumber(math.log(2.0 * math.sin(math.pi * float(tm))))
-    t = float(x) % 1.0
-    tm = min(t, 1.0 - t)
-    if tm < POLE_GUARD:
-        return _LOG_ZERO
-    return LogNumber(math.log(2.0 * math.sin(math.pi * tm)))
+    t = Fraction(x) % 1
+    if t == 0:
+        return -math.inf
+    exact = _EXACT_LOGF.get(t)
+    if exact is not None:
+        return exact
+    tm = min(t, 1 - t)
+    return math.log(2.0 * math.sin(math.pi * float(tm)))
 
 
 def sudler_prefix_logmags(r: Fraction, N_max: int) -> np.ndarray:
     """Raw float array of log P_N(r) for N = 0..N_max, rational r = p/q.
 
     Entry 0 is the empty product.  Requires N_max < q so that no factor
-    vanishes.  This is the fast path behind sudler_prefix_logs; sweeps use it
-    directly.
+    vanishes.
     """
     r = Fraction(r)
     q = r.denominator
@@ -241,11 +158,11 @@ def _logf_residues(r: np.ndarray, Q: int) -> np.ndarray:
     return np.log(2.0 * np.sin(np.pi * np.asarray(rm / Q, dtype=np.float64)))
 
 
-def _shift_residues(alpha: Fraction, x, N: int) -> tuple[np.ndarray, int]:
+def _shift_residues(alpha, x, N: int) -> tuple[np.ndarray, int]:
     """(r, den) with n alpha + x = r[n - 1]/den mod 1 exactly, n = 1..N."""
-    xf = Fraction(x)
-    den = math.lcm(alpha.denominator, xf.denominator)
-    step = alpha.numerator * (den // alpha.denominator)
+    af, xf = Fraction(alpha), Fraction(x)
+    den = math.lcm(af.denominator, xf.denominator)
+    step = af.numerator * (den // af.denominator)
     return _residues(step, den, N, xf.numerator * (den // xf.denominator)), den
 
 
@@ -255,86 +172,43 @@ def _first_zero(res: np.ndarray) -> int:
     return int(zeros[0]) + 1 if zeros.size else 0
 
 
-def sudler_prefix_logs(r: Fraction, N_max: int) -> list[LogNumber]:
-    """P_N(r) for N = 0..N_max as LogNumbers, rational r, N_max < den(r)."""
-    return [LogNumber(v) for v in sudler_prefix_logmags(r, N_max)]
+def shifted_sudler(alpha, x, N: int) -> float:
+    """log P_N(alpha, x) = sum_{n=1..N} log|2 sin(pi (n alpha + x))|.
 
-
-def _resolve_alpha(alpha):
-    """Accept Fraction/int, float, or an expansion (via a deep truncation)."""
-    if isinstance(alpha, CFExpansion):
-        if alpha.is_finite:
-            return alpha.value()
-        return convergents(alpha, 32).alpha_exact
-    if isinstance(alpha, ConvergentTable):
-        return alpha.alpha_exact
-    return Fraction(alpha) if _is_exact(alpha) else float(alpha)
-
-
-def shifted_sudler(alpha, x, N: int) -> LogNumber:
-    """P_N(alpha, x) = prod_{n=1..N} |2 sin(pi (n alpha + x))| in log space.
-
-    Exact rational alpha and x run over exact residues mod 1; an exactly
-    vanishing factor raises ZeroFactorError carrying the offending index n.
-    Floating inputs use the POLE_GUARD cutoff instead.
+    alpha and x are exact rationals; the factors run over exact residues mod
+    their common denominator, and an exactly vanishing factor raises
+    ZeroFactorError carrying the offending index n.
     """
     if N < 0:
         raise PrecondError(f"N must be >= 0, got {N}")
     if N == 0:
-        return _LOG_ONE
-    alpha = _resolve_alpha(alpha)
-    if isinstance(alpha, Fraction) and _is_exact(x):
-        res, den = _shift_residues(alpha, x, N)
-        n = _first_zero(res)
-        if n:
-            raise ZeroFactorError(f"factor n={n} vanishes exactly", n=n)
-        return LogNumber(math.fsum(_logf_residues(res, den)))
-    af, xfl = float(alpha), float(x)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    t = (n * af + xfl) % 1.0
-    tm = np.minimum(t, 1.0 - t)
-    bad = np.flatnonzero(tm < POLE_GUARD)
-    if bad.size:
-        raise ZeroFactorError(f"factor n={int(bad[0]) + 1} within pole guard", n=int(bad[0]) + 1)
-    return LogNumber(float(math.fsum(np.log(2.0 * np.sin(np.pi * tm)))))
+        return 0.0
+    res, den = _shift_residues(alpha, x, N)
+    n = _first_zero(res)
+    if n:
+        raise ZeroFactorError(f"factor n={n} vanishes exactly", n=n)
+    return math.fsum(_logf_residues(res, den))
 
 
-def kubert_rhs(r, x) -> LogNumber:
+def kubert_rhs(r, x) -> float:
     """Right side of the sine multiplication law at level q = den(r).
 
     For reduced p/q the law reads f(x/q) * P_{q-1}(p/q, x/q) = f(x); the
-    numerator p only permutes the factors.  This returns f(x), the exact
+    numerator p only permutes the factors.  This returns log f(x), the exact
     oracle that shifted products at denominator-q arguments must match.
     """
-    r = Fraction(r)
-    q = r.denominator
-    if _is_exact(x) and (Fraction(x) / q) % 1 == 0:
+    q = Fraction(r).denominator
+    if (Fraction(x) / q) % 1 == 0:
         raise PrecondError(f"x/q = {Fraction(x) / q} is an integer; both sides vanish")
     return log_f(x)
 
 
-@dataclass(frozen=True)
-class EpsilonVector:
-    """Shift corrections eps_l of a digit string, one per digit position.
+def epsilon_vector(rep: OstrowskiRep, table: ConvergentTable) -> tuple[Fraction, ...]:
+    """Shift corrections eps_l of rep, one exact Fraction per digit position.
 
-    eps_l = q_l * sum_{m>l} (-1)^(l+m) b_m dist_m, held as exact Fractions.
-    Only positions with b_l >= 1 enter the product form, but all are stored.
+    eps_l = q_l * sum_{m>l} (-1)^(l+m) b_m dist_m, via suffix sums of theta.
+    Only positions with b_l >= 1 enter the product form, but all are returned.
     """
-
-    eps: tuple
-
-    def __len__(self) -> int:
-        return len(self.eps)
-
-    def __getitem__(self, ell: int) -> Fraction:
-        return self.eps[ell]
-
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(e) for e in self.eps])
-
-
-def epsilon_vector(rep: OstrowskiRep, table: ConvergentTable) -> EpsilonVector:
-    """Exact eps_l for all digit positions of rep, via suffix sums of theta."""
     digits = rep.digits
     K = len(digits)
     tail = Fraction(0)
@@ -343,10 +217,10 @@ def epsilon_vector(rep: OstrowskiRep, table: ConvergentTable) -> EpsilonVector:
     for ell in range(K - 1, -1, -1):
         eps[ell] = (-1) ** ell * table.q(ell) * tail
         tail += digits[ell] * table.theta(ell)
-    return EpsilonVector(tuple(eps))
+    return tuple(eps)
 
 
-def epsilon_vector_primed(rep: OstrowskiRep, tail_table: ConvergentTable) -> EpsilonVector:
+def epsilon_vector_primed(rep: OstrowskiRep, tail_table: ConvergentTable) -> tuple[Fraction, ...]:
     """The eps vector seen by the first-digit-dropped expansion.
 
     Uses the primed convergents q'_l = (tail table row l-1) and the opposite
@@ -363,15 +237,15 @@ def epsilon_vector_primed(rep: OstrowskiRep, tail_table: ConvergentTable) -> Eps
         # theta'_{m} lives at tail-table row m-1
         if ell >= 1:
             acc += digits[ell] * tail_table.theta(ell - 1)
-    return EpsilonVector(tuple(eps))
+    return tuple(eps)
 
 
-def product_form_eval(rep: OstrowskiRep, table: ConvergentTable | None = None) -> LogNumber:
-    """P_N(alpha) assembled from the digit-wise product form.
+def product_form_eval(rep: OstrowskiRep, table: ConvergentTable | None = None) -> float:
+    """log P_N(alpha) assembled from the digit-wise product form.
 
     P_N = prod_l prod_{b < b_l} P_{q_l}(alpha, (-1)^l (b q_l dist_l + eps_l)/q_l),
     every shift an exact rational.  Must agree with the direct product; the
-    all-zero digit string gives the empty product 1.
+    all-zero digit string gives the empty product, log 1 = 0.
     """
     if table is None:
         table = rep.table
@@ -386,8 +260,8 @@ def product_form_eval(rep: OstrowskiRep, table: ConvergentTable | None = None) -
         sgn = (-1) ** ell
         for b in range(b_l):
             shift = sgn * (b * q_l * d_l + eps[ell]) / q_l
-            acc.append(shifted_sudler(alpha, shift, q_l).log_mag)
-    return LogNumber(math.fsum(acc)) if acc else _LOG_ONE
+            acc.append(shifted_sudler(alpha, shift, q_l))
+    return math.fsum(acc)
 
 
 def product_form_logs(table: ConvergentTable, K: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
@@ -449,28 +323,18 @@ def product_form_logs(table: ConvergentTable, K: int, cap: int = DEFAULT_ENUM_CA
 def cotangent_sum(alpha, x, N: int) -> float:
     """sum_{n=1..N} cot(pi (n alpha + x)) with compensated summation.
 
-    Exact rational inputs detect poles exactly; floats use POLE_GUARD.  The
+    alpha and x are exact rationals, so poles are detected exactly; the
     offending index travels on the raised PoleError.
     """
     if N < 0:
         raise PrecondError(f"N must be >= 0, got {N}")
     if N == 0:
         return 0.0
-    alpha = _resolve_alpha(alpha)
-    if isinstance(alpha, Fraction) and _is_exact(x):
-        res, den = _shift_residues(alpha, x, N)
-        n = _first_zero(res)
-        if n:
-            raise PoleError(f"cot pole at n={n}", n=n)
-        return math.fsum(1.0 / np.tan(np.pi * np.asarray(res / den, dtype=np.float64)))
-    af, xfl = float(alpha), float(x)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    t = (n * af + xfl) % 1.0
-    tm = np.minimum(t, 1.0 - t)
-    bad = np.flatnonzero(tm < POLE_GUARD)
-    if bad.size:
-        raise PoleError(f"cot pole at n={int(bad[0]) + 1}", n=int(bad[0]) + 1)
-    return math.fsum(1.0 / np.tan(np.pi * t))
+    res, den = _shift_residues(alpha, x, N)
+    n = _first_zero(res)
+    if n:
+        raise PoleError(f"cot pole at n={n}", n=n)
+    return math.fsum(1.0 / np.tan(np.pi * np.asarray(res / den, dtype=np.float64)))
 
 
 def cotangent_V(ell: int, x: float, table: ConvergentTable) -> float:
@@ -496,45 +360,30 @@ def cotangent_V(ell: int, x: float, table: ConvergentTable) -> float:
     return math.fsum(weights * cots)
 
 
-def _logf_float(t: float) -> float:
-    """log f at a floating argument, reflected into (0, 1/2]."""
-    u = t % 1.0
-    um = min(u, 1.0 - u)
-    if um < POLE_GUARD:
-        raise PoleError("argument within pole guard")
-    return math.log(2.0 * math.sin(math.pi * um))
-
-
-def explicit_formula_eval(ell: int, x, table: ConvergentTable) -> LogNumber:
-    """Closed form of P_{q_l}(alpha, (-1)^l x / q_l) over the integer grid.
+def explicit_formula_eval(ell: int, x, table: ConvergentTable) -> float:
+    """Closed form of log P_{q_l}(alpha, (-1)^l x / q_l) over the integer grid.
 
     P = f(dist_l + x/q_l) * (f(z)/f(z/q_l)) *
         prod_{n=1}^{q_l-1} f((n - y_n - z)/q_l) / f((n - z)/q_l),
 
     with z = x + q_l dist_l / 2 and y_n = ({n q_{l-1}/q_l} - 1/2) q_l dist_l.
     When z/q_l is an integer both f(z) and f(z/q_l) vanish and the ratio is
-    replaced by its limit q_l.  Must match shifted_sudler at the same shift.
+    replaced by its limit q_l.  x is an exact rational; the grid product runs
+    in floats, with POLE_GUARD deciding its vanishing factors.  Must match
+    shifted_sudler at the same shift.
     """
     q = table.q(ell)
     d = table.dist(ell)
-    exact = _is_exact(x)
-    xv = Fraction(x) if exact else float(x)
-    dv = d if exact else float(d)
-    z = xv + q * dv / 2
-    first = log_f(dv + xv / q)
-    if exact:
-        convention = (z / q) % 1 == 0
+    x = Fraction(x)
+    z = x + q * d / 2
+    first = log_f(d + x / q)
+    if (z / q) % 1 == 0:
+        mid = math.log(q)
     else:
-        convention = abs(z / q - round(z / q)) < POLE_GUARD
-    if convention:
-        mid = LogNumber(math.log(q))
-    else:
-        fz, fzq = log_f(z), log_f(z / q)
-        if fzq.is_zero:
-            raise PoleError("f(z/q) vanishes outside the z/q integer convention")
-        mid = fz / fzq
+        # z/q is not an integer, so f(z/q) does not vanish
+        mid = log_f(z) - log_f(z / q)
     if q == 1:
-        return first * mid
+        return first + mid
     qd = float(q * d)
     zf = float(z)
     n = np.arange(1, q, dtype=np.int64)
@@ -549,7 +398,7 @@ def explicit_formula_eval(ell: int, x, table: ConvergentTable) -> LogNumber:
     if np.any(den_m < POLE_GUARD):
         raise PoleError(f"grid denominator n={int(np.argmin(den_m)) + 1} vanishes", n=int(np.argmin(den_m)) + 1)
     ratio = math.fsum(np.log(np.sin(np.pi * num_m)) - np.log(np.sin(np.pi * den_m)))
-    return first * mid * LogNumber(ratio)
+    return first + mid + ratio
 
 
 def ql_diff_check(ell: int, m: int, table: ConvergentTable, tail_table: ConvergentTable):

@@ -9,7 +9,9 @@ corpus through it and writes the envelope into per-case CSV report rows
 (check_id, case_id, lhs, rhs, margin, passed).
 
 Margins are oriented so that margin >= 0 means the case passes; merged
-reports take the worst (minimum) margin of each check_id.
+reports take the worst (minimum) margin of each check_id.  A pass/fail flag
+row (margin +1 or -1) has a check_id of its own, so it never stands in for
+a check's worst margin.
 """
 
 from __future__ import annotations
@@ -253,7 +255,7 @@ def _sudler_factor_parts(table: ConvergentTable, N: int, k: int):
     N2 = N - N1
     mags = _prefix_mags(table)
     shift = Fraction((-1) ** k * 5, 6 * table.q(k))
-    head = shifted_sudler(table.alpha_exact, shift, N1).log_mag
+    head = shifted_sudler(table.alpha_exact, shift, N1)
     err = float(mags[N]) - head - float(mags[N2])
     unit = (dev + 1) / a_next * (1.0 + _log_max_partial(table, k))
     return err, unit
@@ -339,8 +341,8 @@ def _tail_parts(table: ConvergentTable, tail_table: ConvergentTable,
     for b in range(b_ell):
         sh = Fraction(sgn * (b * q_ell * d + eps), q_ell)
         sh_p = Fraction(-sgn * (b * qp_ell * dp + eps_p), qp_ell)
-        lhs += shifted_sudler(alpha, sh, q_ell).log_mag
-        lhs -= shifted_sudler(alpha_p, sh_p, qp_ell).log_mag
+        lhs += shifted_sudler(alpha, sh, q_ell)
+        lhs -= shifted_sudler(alpha_p, sh_p, qp_ell)
     s = sum(table.partial(m) for m in range(2, ell + 1))
     unit = s**0.75 / qp_ell**0.75 + math.log(a1 + 1) / qp_ell
     return lhs, unit
@@ -611,9 +613,8 @@ def identity_cases(seed: int = 0) -> list[CheckCase]:
         if (x / q) % 1 == 0 or x % 1 == 0:
             continue
         try:
-            lhs = shifted_sudler(Fraction(p, q), x / q, q - 1).log_mag + \
-                log_f(x / q).log_mag
-            rhs = kubert_rhs(Fraction(p, q), x).log_mag
+            lhs = shifted_sudler(Fraction(p, q), x / q, q - 1) + log_f(x / q)
+            rhs = kubert_rhs(Fraction(p, q), x)
         except ArithmeticError:
             continue
         worst = max(worst, abs(lhs - rhs) / (1 + abs(rhs)))
@@ -633,7 +634,7 @@ def identity_cases(seed: int = 0) -> list[CheckCase]:
         worst = max(worst, err)
         N = int(rng.integers(0, q))
         rep = ostrowski_encode(N, table)
-        got = product_form_eval(rep, table).log_mag
+        got = product_form_eval(rep, table)
         worst = max(worst, abs(got - float(mags[N])) / (1 + abs(float(mags[N]))))
     cases.append(_case("product_form", "random_sweep", worst, 1e-9, ge=False))
     # explicit single-period formula vs direct shifted product
@@ -650,9 +651,9 @@ def identity_cases(seed: int = 0) -> list[CheckCase]:
         ell = int(rng.integers(1, cf.L))
         x = Fraction(int(rng.integers(-100, 101)), 120)
         try:
-            got = explicit_formula_eval(ell, x, table).log_mag
+            got = explicit_formula_eval(ell, x, table)
             sh = Fraction((-1) ** ell * x, table.q(ell))
-            want = shifted_sudler(table.alpha_exact, sh, table.q(ell)).log_mag
+            want = shifted_sudler(table.alpha_exact, sh, table.q(ell))
         except (ArithmeticError, PrecondError):
             continue
         worst = max(worst, abs(got - want) / (1 + abs(want)))
@@ -801,7 +802,7 @@ def cotangent_cases(seed: int = 0) -> list[CheckCase]:
             env = qd * (1.0 / (1.0 - abs(float(x))) + _log_max_partial(table, ell))
             worst_v = max(worst_v, abs(v) / env)
     cases.append(_case("cot_V", "envelope", worst_v, frozen.VLX_C, ge=False))
-    cases.append(_case("cot_V", "decreasing", 1.0 if decreasing_ok else -1.0, 0.0))
+    cases.append(_case("cot_V_monotone", "decreasing", 1.0 if decreasing_ok else -1.0, 0.0))
     return cases
 
 
@@ -822,13 +823,13 @@ def continuity_cases(qcap: int = QCAP) -> list[CheckCase]:
 def th3_cases(Ncap: int = 200) -> list[CheckCase]:
     """Sup of |h - Vol/(2 pi x)| / (1 + |log x|) over the Farey set F_Ncap.
 
-    The sup must stay below the frozen constant; sup |psi| over the same set
-    is recorded as boundedness evidence.
+    The sup must stay below the frozen constant; the finiteness of sup |psi|
+    over the same set is recorded, as a flag row, as boundedness evidence.
     """
     sup_ratio, sup_psi, _ = _th3_sweep(Ncap)
     return [
         _case("th3", f"F{Ncap}_sup", sup_ratio, frozen.TH3_C, ge=False),
-        _case("th3", f"F{Ncap}_sup_psi_finite",
+        _case("th3_psi_finite", f"F{Ncap}_sup_psi_finite",
               1.0 if math.isfinite(sup_psi) else -1.0, 0.0),
     ]
 

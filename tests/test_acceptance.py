@@ -77,9 +77,8 @@ def test_gate_01_kubert_identity_thousand_random_cases():
         if (x / q) % 1 == 0 or x % 1 == 0:
             continue
         try:
-            lhs = shifted_sudler(Fraction(p, q), x / q, q - 1).log_mag + \
-                log_f(x / q).log_mag
-            rhs = kubert_rhs(Fraction(p, q), x).log_mag
+            lhs = shifted_sudler(Fraction(p, q), x / q, q - 1) + log_f(x / q)
+            rhs = kubert_rhs(Fraction(p, q), x)
         except ArithmeticError:
             continue  # shift landed on a sine zero; draw again
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
@@ -131,9 +130,9 @@ def test_gate_03_single_period_formula_thousand_random_cases():
         ell = int(rng.integers(1, cf.L))
         x = Fraction(int(rng.integers(-100, 101)), 120)
         try:
-            got = explicit_formula_eval(ell, x, table).log_mag
+            got = explicit_formula_eval(ell, x, table)
             sh = Fraction((-1) ** ell * x, table.q(ell))
-            want = shifted_sudler(table.alpha_exact, sh, table.q(ell)).log_mag
+            want = shifted_sudler(table.alpha_exact, sh, table.q(ell))
         except (ArithmeticError, PrecondError):
             continue
         worst = max(worst, abs(got - want) / (1.0 + abs(want)))
@@ -153,12 +152,12 @@ def _direct_logJ_at_reciprocal(N: int) -> float:
 
 def test_gate_04_kashaev_values_and_volume_trend():
     for N, val in ((2, 5), (3, 13), (4, 27)):
-        got = jones_J(Fraction(1, N)).log_mag
+        got = jones_J(Fraction(1, N))
         assert abs(got - math.log(val)) <= 1e-12
         assert abs(_direct_logJ_at_reciprocal(N) - math.log(val)) <= 1e-12
 
     Ns = range(50, 201)
-    logJ = [jones_J(Fraction(1, N)).log_mag for N in Ns]
+    logJ = [jones_J(Fraction(1, N)) for N in Ns]
     devs = [abs(2.0 * math.pi / N * L - VOL) for N, L in zip(Ns, logJ)]
     drops = [b - a for a, b in zip(devs, devs[1:])]
     assert max(drops) < 0.0, "volume deviation should decrease in N"

@@ -185,9 +185,9 @@ def test_norm_recursion_within_precision_budget():
 
 
 def test_truncation_table_is_exact_for_presets():
-    # the table equals the exact table of the truncation at depth + guard
+    # the table equals the exact table of the truncation at depth + GUARD_DEPTH
     cf = CFExpansion.preset("golden")
-    t = convergents(cf, 10, guard=8)
+    t = convergents(cf, 10)
     trunc = t.alpha_exact
     assert trunc == cf.truncation(18)
     for l in range(11):

@@ -1,12 +1,16 @@
 """End-to-end CLI behavior: records, CSV determinism, config, exit codes."""
 
 import csv
+import importlib
 import math
+import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sudlerlab
 from sudlerlab import cli, dist, verify
 from sudlerlab.dist import farey_enumerate
 from sudlerlab.errors import PoleError, ZeroFactorError
@@ -33,6 +37,16 @@ def test_eval_half_prints_log5(capsys):
     assert float(rec["h"]) == pytest.approx(math.log(5), abs=1e-12)
     # 17 significant digits round-trip
     assert rec["h"] == f"{math.log(5):.17g}"
+
+
+def test_eval_matches_readme_record(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.splitlines()
+    start = lines.index("$ sudlerlab eval 5/12") + 1
+    block = lines[start : lines.index("```", start)]
+    assert len(block) == 7
+    rc, out, _ = run(["eval", "5/12"], capsys)
+    assert rc == 0 and out == "\n".join(block) + "\n"
 
 
 def test_eval_cf_form_matches_fraction(capsys):
@@ -371,3 +385,13 @@ def test_cli_import_loads_no_test_only_dependency():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+_MODULES = ["sudlerlab"] + [f"sudlerlab.{m.name}" for m in pkgutil.iter_modules(sudlerlab.__path__)]
+_EXPORTING = [name for name in _MODULES if hasattr(importlib.import_module(name), "__all__")]
+
+
+@pytest.mark.parametrize("name", _EXPORTING)
+def test_all_names_resolve(name):
+    mod = importlib.import_module(name)
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []

@@ -26,7 +26,6 @@ from sudlerlab.errors import (
     ZeroFactorError,
 )
 from sudlerlab.trig import (
-    LogNumber,
     cotangent_V,
     cotangent_sum,
     epsilon_vector,
@@ -39,65 +38,48 @@ from sudlerlab.trig import (
     ql_diff_check,
     shifted_sudler,
     sudler_prefix_logmags,
-    sudler_prefix_logs,
 )
 
 
-# -- LogNumber ----------------------------------------------------------------
-
-
-def test_lognumber_arithmetic():
-    a = LogNumber.from_value(3.0)
-    b = LogNumber.from_value(0.5)
-    assert (a * b).value == pytest.approx(1.5, rel=1e-15)
-    assert (a / b).value == pytest.approx(6.0, rel=1e-15)
-    assert (a**3).value == pytest.approx(27.0, rel=1e-14)
-    z = LogNumber.from_value(0.0)
-    assert z.is_zero and (a * z).is_zero and z.value == 0.0
-    with pytest.raises(ZeroDivisionError):
-        a / z
-    with pytest.raises(PrecondError):
-        LogNumber.from_value(-1.0)
+# -- log-sum-exp --------------------------------------------------------------
 
 
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=40))
 @settings(max_examples=100, deadline=None)
 def test_lognumber_sum_permutation_invariant(mags):
-    terms = [LogNumber(m) for m in mags]
-    s1 = LogNumber.sum(terms)
+    s1 = trig._logsumexp(mags)
     rng = random.Random(17)
+    terms = list(mags)
     for _ in range(3):
         rng.shuffle(terms)
-        s2 = LogNumber.sum(terms)
-        assert s2.log_mag == s1.log_mag  # bitwise, thanks to sorting
+        assert trig._logsumexp(terms) == s1  # bitwise, thanks to sorting
     want = math.log(math.fsum(math.exp(m) for m in sorted(mags)))
-    assert s1.log_mag == pytest.approx(want, rel=1e-12)
+    assert s1 == pytest.approx(want, rel=1e-12)
 
 
 def test_lognumber_sum_empty_and_zero():
-    assert LogNumber.sum([]).is_zero
-    assert LogNumber.sum([LogNumber.from_value(0.0)]).is_zero
-    one = LogNumber.sum([LogNumber(0.0), LogNumber.from_value(0.0)])
-    assert one.log_mag == 0.0
+    assert trig._logsumexp([]) == -math.inf
+    # a -inf term is the log of a zero summand
+    assert trig._logsumexp([0.0, -math.inf]) == 0.0
+    assert trig._logsumexp([-math.inf, 1.5, -math.inf]) == 1.5
 
 
 # -- log_f --------------------------------------------------------------------
 
 
 def test_log_f_special_values():
-    assert log_f(Fraction(1, 2)).log_mag == math.log(2)
-    assert log_f(Fraction(5, 6)).log_mag == 0.0
-    assert log_f(Fraction(1, 6)).log_mag == 0.0
-    assert log_f(0).is_zero
-    assert log_f(7).is_zero
-    assert log_f(Fraction(3, 3)).is_zero
+    assert log_f(Fraction(1, 2)) == math.log(2)
+    assert log_f(Fraction(5, 6)) == 0.0
+    assert log_f(Fraction(1, 6)) == 0.0
+    assert log_f(0) == -math.inf
+    assert log_f(7) == -math.inf
+    assert log_f(Fraction(3, 3)) == -math.inf
 
 
 def test_log_f_symmetry_and_float_guard():
-    assert log_f(Fraction(1, 5)).log_mag == log_f(Fraction(4, 5)).log_mag
-    assert log_f(Fraction(1, 5)).log_mag == log_f(Fraction(6, 5)).log_mag
-    assert log_f(1e-14).is_zero
-    assert log_f(0.3).log_mag == pytest.approx(
+    assert log_f(Fraction(1, 5)) == log_f(Fraction(4, 5))
+    assert log_f(Fraction(1, 5)) == log_f(Fraction(6, 5))
+    assert log_f(0.3) == pytest.approx(
         math.log(2 * math.sin(math.pi * 0.3)), rel=1e-15
     )
 
@@ -106,13 +88,13 @@ def test_log_f_symmetry_and_float_guard():
 
 
 def test_sudler_prefix_examples():
-    logs = sudler_prefix_logs(Fraction(1, 2), 1)
-    assert logs[0].log_mag == 0.0
-    assert logs[1].value == pytest.approx(2.0, rel=1e-15)
-    logs = sudler_prefix_logs(Fraction(1, 3), 2)
-    assert [t.value for t in logs] == pytest.approx([1.0, math.sqrt(3), 3.0], rel=1e-14)
+    logs = sudler_prefix_logmags(Fraction(1, 2), 1)
+    assert logs[0] == 0.0
+    assert math.exp(logs[1]) == pytest.approx(2.0, rel=1e-15)
+    logs = sudler_prefix_logmags(Fraction(1, 3), 2)
+    assert np.exp(logs) == pytest.approx([1.0, math.sqrt(3), 3.0], rel=1e-14)
     with pytest.raises(PrecondError):
-        sudler_prefix_logs(Fraction(1, 3), 3)
+        sudler_prefix_logmags(Fraction(1, 3), 3)
 
 
 def test_sudler_prefix_matches_bruteforce():
@@ -128,11 +110,11 @@ def test_sudler_prefix_matches_bruteforce():
 
 
 def test_shifted_sudler_basics():
-    assert shifted_sudler(Fraction(2, 7), Fraction(1, 3), 0).log_mag == 0.0
+    assert shifted_sudler(Fraction(2, 7), Fraction(1, 3), 0) == 0.0
     r = Fraction(3, 11)
     direct = sudler_prefix_logmags(r, 10)
     for N in (1, 4, 10):
-        assert shifted_sudler(r, 0, N).log_mag == pytest.approx(direct[N], abs=1e-12)
+        assert shifted_sudler(r, 0, N) == pytest.approx(direct[N], abs=1e-12)
 
 
 def test_shifted_sudler_zero_factor_reported():
@@ -145,17 +127,18 @@ def test_shifted_sudler_float_path_agrees():
     r = Fraction(89, 233)
     x = Fraction(1, 97)
     a = shifted_sudler(r, x, 150)
+    # floats are read at their exact binary values
     b = shifted_sudler(float(r), float(x), 150)
-    assert b.log_mag == pytest.approx(a.log_mag, abs=1e-8)
+    assert b == pytest.approx(a, abs=1e-8)
 
 
 def test_kubert_example():
     # |2 sin(pi/15)| * P_4(2/5, 1/15) = |2 sin(pi/3)|
     x = Fraction(1, 3)
-    lhs = log_f(x / 5) * shifted_sudler(Fraction(2, 5), x / 5, 4)
+    lhs = log_f(x / 5) + shifted_sudler(Fraction(2, 5), x / 5, 4)
     rhs = kubert_rhs(Fraction(2, 5), x)
-    assert lhs.log_mag == pytest.approx(rhs.log_mag, abs=1e-12)
-    assert kubert_rhs(Fraction(3, 1), Fraction(1, 3)).log_mag == log_f(Fraction(1, 3)).log_mag
+    assert lhs == pytest.approx(rhs, abs=1e-12)
+    assert kubert_rhs(Fraction(3, 1), Fraction(1, 3)) == log_f(Fraction(1, 3))
     with pytest.raises(PrecondError):
         kubert_rhs(Fraction(2, 5), 10)
 
@@ -172,9 +155,9 @@ def test_kubert_identity_property(q, p, d, j):
     if math.gcd(p, q) != 1 or p == 0 or j == 0:
         return
     x = Fraction(j, d)
-    lhs = log_f(x / q) * shifted_sudler(Fraction(p, q), x / q, q - 1)
+    lhs = log_f(x / q) + shifted_sudler(Fraction(p, q), x / q, q - 1)
     rhs = kubert_rhs(Fraction(p, q), x)
-    assert abs(lhs.log_mag - rhs.log_mag) <= 1e-12 * (1 + abs(rhs.log_mag))
+    assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
 
 # -- epsilon corrections ------------------------------------------------------
@@ -183,7 +166,7 @@ def test_kubert_identity_property(q, p, d, j):
 def test_epsilon_zero_digits():
     t = convergents(CFExpansion.from_partial_quotients(0, [2, 3, 4]), 3)
     rep = ostrowski_encode(0, t)
-    assert all(e == 0 for e in epsilon_vector(rep, t).eps)
+    assert all(e == 0 for e in epsilon_vector(rep, t))
 
 
 def test_epsilon_single_digit_formula():
@@ -252,7 +235,7 @@ def test_epsilon_primed_sign_and_zero():
 def test_product_form_empty():
     t = convergents(cf_expand(Fraction(3, 8)), 3)
     rep = ostrowski_encode(0, t)
-    assert product_form_eval(rep, t).log_mag == 0.0
+    assert product_form_eval(rep, t) == 0.0
 
 
 def test_product_form_matches_direct_rationals():
@@ -262,7 +245,7 @@ def test_product_form_matches_direct_rationals():
         direct = sudler_prefix_logmags(r, r.denominator - 1)
         for N in range(r.denominator):
             got = product_form_eval(ostrowski_encode(N, t), t)
-            assert abs(got.log_mag - direct[N]) <= 1e-9 * (1 + abs(direct[N]))
+            assert abs(got - direct[N]) <= 1e-9 * (1 + abs(direct[N]))
 
 
 def test_product_form_golden_prefix():
@@ -272,7 +255,7 @@ def test_product_form_golden_prefix():
     direct = sudler_prefix_logmags(t.alpha_exact, 55)
     for N in range(51):
         got = product_form_eval(ostrowski_encode(N, t), t)
-        assert abs(got.log_mag - direct[N]) <= 1e-9 * (1 + abs(direct[N]))
+        assert abs(got - direct[N]) <= 1e-9 * (1 + abs(direct[N]))
 
 
 def test_product_form_logs_batched_matches_direct():
@@ -332,7 +315,7 @@ def test_product_form_logs_matches_per_N_product_form(r, data):
     batch = product_form_logs(t, cf.L)
     Ns = data.draw(st.lists(st.integers(0, r.denominator - 1), min_size=1, max_size=4))
     for N in Ns:
-        want = product_form_eval(ostrowski_encode(N, t), t).log_mag
+        want = product_form_eval(ostrowski_encode(N, t), t)
         assert abs(batch[N] - want) <= 1e-9 * (1 + abs(want))
 
 
@@ -348,7 +331,7 @@ def test_product_form_logs_wide_level(digits):
     assert _pf_rel_err(batch, sudler_prefix_logmags(r, q - 1)) <= 1e-9
     rng = random.Random(q)
     for N in [q - 1, t.q(cf.L - 1) - 1] + rng.sample(range(q), 4):
-        want = product_form_eval(ostrowski_encode(N, t), t).log_mag
+        want = product_form_eval(ostrowski_encode(N, t), t)
         assert abs(batch[N] - want) <= 1e-9 * (1 + abs(want))
 
 
@@ -364,7 +347,7 @@ def test_product_form_logs_deep_tables():
             assert _pf_rel_err(batch, sudler_prefix_logmags(t.alpha_exact, qK - 1)) <= 1e-9
             rng = random.Random(qK)
             for N in [qK - 1, t.q(K - 1) - 1] + rng.sample(range(qK), 2):
-                want = product_form_eval(ostrowski_encode(N, t), t).log_mag
+                want = product_form_eval(ostrowski_encode(N, t), t)
                 assert abs(batch[N] - want) <= 1e-9 * (1 + abs(want))
 
 
@@ -381,7 +364,7 @@ def test_exact_zero_residue_carries_first_n():
             cotangent_sum(alpha, x, N)
         assert exc.value.n == n0
         # one factor short of the zero, both sums are finite
-        assert math.isfinite(shifted_sudler(alpha, x, n0 - 1).log_mag)
+        assert math.isfinite(shifted_sudler(alpha, x, n0 - 1))
         assert math.isfinite(cotangent_sum(alpha, x, n0 - 1))
     with pytest.raises(ZeroFactorError) as exc:
         _shifted_J_logmag(89, 233, Fraction(-5 * 89, 233))
@@ -460,7 +443,7 @@ def test_exact_paths_match_fraction_loops(a, b, c, d, N, hit):
     if hit:  # aim x at a vanishing factor n = hit (and its period copies)
         x = -hit * alpha
     for fast, slow in [
-        (lambda *r: shifted_sudler(*r).log_mag, loop_shifted_sudler),
+        (shifted_sudler, loop_shifted_sudler),
         (cotangent_sum, loop_cotangent_sum),
     ]:
         kind, got = _outcome(fast, alpha, x, N)
@@ -540,7 +523,7 @@ def test_explicit_formula_q1_reduces():
     t = convergents(cf_expand(Fraction(5, 7)), 2)
     x = Fraction(1, 5)
     got = explicit_formula_eval(0, x, t)
-    assert got.log_mag == pytest.approx(log_f(t.dist(0) + x).log_mag, abs=1e-12)
+    assert got == pytest.approx(log_f(t.dist(0) + x), abs=1e-12)
 
 
 def test_explicit_formula_matches_shifted_product():
@@ -560,7 +543,7 @@ def test_explicit_formula_matches_shifted_product():
             want = shifted_sudler(r, (-1) ** ell * x / t.q(ell), t.q(ell))
         except (PoleError, ZeroFactorError):
             continue
-        assert abs(got.log_mag - want.log_mag) <= 1e-10 * (1 + abs(want.log_mag))
+        assert abs(got - want) <= 1e-10 * (1 + abs(want))
 
 
 def test_explicit_formula_z_zero_convention():
@@ -569,7 +552,7 @@ def test_explicit_formula_z_zero_convention():
     x = -t.q(ell) * t.dist(ell) / 2  # forces z = 0
     got = explicit_formula_eval(ell, x, t)
     want = shifted_sudler(Fraction(57, 200), (-1) ** ell * x / t.q(ell), t.q(ell))
-    assert got.log_mag == pytest.approx(want.log_mag, abs=1e-10)
+    assert got == pytest.approx(want, abs=1e-10)
 
 
 # -- first-quotient-drop coupling ----------------------------------------------

@@ -267,6 +267,7 @@ def test_th3_cases_within_frozen_bound():
     # F_60 is a subset of the F_100 calibration corpus, so its sup is covered
     sup, finite = verify.th3_cases(60)
     assert sup.case_id == "F60_sup" and sup.passed and finite.passed
+    assert (sup.check_id, finite.check_id) == ("th3", "th3_psi_finite")
     assert sup.lhs <= frozen.TH3_C
     sup_ratio, _, count = verify._th3_sweep(60)
     assert count > 100 and sup.lhs == sup_ratio
@@ -290,6 +291,17 @@ def test_suite_registry_is_complete():
 def test_epsilon_suite_rows_all_pass():
     rows = verify.run_suite("epsilon")
     assert len(rows) == 4 and all(r.passed for r in rows)
+
+
+def test_cot_V_worst_margin_is_the_envelope_row():
+    # the +-1 monotonicity flag has its own check_id, so it never stands in
+    # for the envelope's worst margin
+    cases = verify.cotangent_cases(0)
+    envelope = next(c for c in cases if c.case_id == "envelope")
+    reports = {r.check_id: r for r in verify.merge_cases(cases)}
+    assert reports["cot_V"].cases_run == 1
+    assert reports["cot_V"].worst_margin == envelope.margin
+    assert reports["cot_V_monotone"].worst_margin == 1.0
 
 
 def test_merge_cases_takes_worst_margin():
