@@ -117,9 +117,11 @@ def _logJ_rows(q: int, ps) -> list[float]:
 
     All P_N(p/q) of one denominator read the same table log(2 sin(pi k/q)),
     k <= q/2: row p gathers it at min(r, q - r), r = n p mod q, and takes the
-    cumulative sum.  Rows go through the log-sum-exp a block at a time.
-    Callers keep q within trig.DEFAULT_ENUM_CAP (2^21), so n p < 2^42 and the
-    residues are exact in int64.
+    cumulative sum.  Rows go a block at a time through trig._logsumexp_rows,
+    which sums each row correctly rounded in a few passes over the block, so
+    a value does not depend on how rows are batched; _BLOCK_TERMS bounds its
+    temporaries.  Callers keep q within trig.DEFAULT_ENUM_CAP (2^21), so
+    n p < 2^42 and the residues are exact in int64.
     """
     ps = np.asarray(ps, dtype=np.int64)
     table = np.zeros(q // 2 + 1)  # entry 0 (a vanishing factor) is never read

@@ -67,23 +67,95 @@ _EXACT_LOGF = {
 }
 
 
-def _logsumexp_rows(m: np.ndarray) -> list[float]:
-    """log sum_j exp(m[i, j]) for each row of a 2-d array; -inf for empty rows.
+# _logsumexp_rows: the unit roundoff, and the floor on exp arguments (NumPy's exp
+# leaves its fast path between -707 and -708) with a bound on what it moves a term by
+_UNIT = 2.0**-53
+_EXP_FLOOR = -700.0
+_FLOOR_SHIFT = 2.0**-1009  # > exp(-700)
 
-    Each row is shifted by its maximum and summed with math.fsum, which is
-    correctly rounded in any order; sorting the rows in descending order and
-    handing fsum Python lists still halves its cost.
+
+def _logsumexp_rows(m: np.ndarray) -> list[float]:
+    """log sum_j exp(m[i, j]) for each row of a 2-d array, correctly rounded.
+
+    Row i is shifted by its maximum a_i, so its n terms x_j = exp(m[i, j] - a_i)
+    lie in [0, 1] and one of them is 1.  The result is a_i + log(RN(S)), where
+    S = sum_j x_j exactly and RN rounds to nearest, ties to even: the double
+    math.fsum returns, so the value does not depend on the order of the row.
+    A row with no finite entry (and an empty row) gives -inf, the log of an
+    all-zero sum.  Rows may hold up to 2^26 terms.
+
+    The whole block is summed at once by error-free extraction against powers
+    of two sized from n (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I: faithful rounding", SIAM J. Sci. Comput. 31 (2008),
+    ExtractVector).  With u = 2^-53, sigma1 = 2^M >= n and sigma2 = u sigma1^2:
+
+      * q = fl(fl(sigma1 + x) - sigma1) is exact, a multiple of 2u sigma1 in
+        [0, 1], and r = x - q is the exact rounding error of sigma1 + x, so
+        |r| <= u sigma1.  Every partial sum of the q's is a multiple of
+        2u sigma1 of size at most n <= sigma1, so hi1 = sum q is exact in any
+        summation order.
+      * The same split of the r's against sigma2 >= n u sigma1 gives an exact
+        hi2, |hi2| <= sigma2 <= 1, and residuals |r'| <= u sigma2.
+      * lo = fl(sum r'), in any order, is within
+        gamma_{n-1} n u sigma2 <= 2 n^2 u^2 sigma2 of sum r' (Higham, "Accuracy
+        and Stability of Numerical Algorithms", 2nd ed., section 4.2).
+
+    So S = hi1 + hi2 + sum r'.  FastTwoSum gives s + e = hi1 + hi2 exactly
+    (hi1 >= 1 >= |hi2|); t = fl(e + lo) adds at most u(u(n + 1) + n u sigma2)
+    plus u times lo's error; a second FastTwoSum gives v + f = s + t exactly.
+    Arguments below -700 are raised to -700 first, where NumPy's exp stays
+    fast; each clamped term moves by less than 2^-1009, n of them by less
+    than n 2^-1009.  Adding these up, |S - (v + f)| <= B for the B below,
+    and v = RN(S) unless a rounding midpoint next to v lies within B of
+    v + f.  The guard takes h, half the gap from v to the next double on the
+    side of f, and accepts v when |f| < h - 2B; the midpoint on the other
+    side is at least h/2 > B away, and the factor 2 absorbs the rounding of
+    the guard itself, as B >= u h.  For rows up to 2^21 terms 2B < 2^-18 h,
+    so only a near-tie fails the guard (every exact tie does, as when two
+    terms dominate a row); such a row alone is summed again with math.fsum
+    on its unclamped terms.
     """
-    m = np.sort(m, axis=1)[:, ::-1]
-    if m.shape[1] == 0:
-        return [-math.inf] * m.shape[0]
-    top = m[:, 0]
-    terms = np.exp(m - top[:, None])
-    return [t + math.log(math.fsum(row)) for t, row in zip(top.tolist(), terms.tolist())]
+    rows, n = m.shape
+    if n == 0:
+        return [-math.inf] * rows
+    top = m.max(axis=1)
+    empty = top == -math.inf
+    top[empty] = 0.0  # keeps exp(m - top) free of -inf - (-inf)
+    x = np.subtract(m, top[:, None])
+    np.maximum(x, _EXP_FLOOR, out=x)
+    np.exp(x, out=x)
+    sigma1 = float(1 << (n - 1).bit_length())
+    sigma2 = _UNIT * sigma1 * sigma1
+    q = np.add(x, sigma1)
+    q -= sigma1
+    x -= q
+    hi1 = q.sum(axis=1)
+    np.add(x, sigma2, out=q)
+    q -= sigma2
+    x -= q
+    hi2 = q.sum(axis=1)
+    lo = x.sum(axis=1)
+    lo_err = 2.0 * (n - 1) * n * _UNIT * _UNIT * sigma2
+    bound = lo_err + n * _FLOOR_SHIFT + _UNIT * (_UNIT * (n + 1) + n * _UNIT * sigma2 + lo_err)
+    out = []
+    sums = zip(top.tolist(), empty.tolist(), hi1.tolist(), hi2.tolist(), lo.tolist())
+    for i, (a, no_terms, h1, h2, low) in enumerate(sums):
+        if no_terms:
+            out.append(-math.inf)
+            continue
+        s = h1 + h2
+        t = (h2 - (s - h1)) + low
+        v = s + t
+        f = t - (v - s)
+        gap = abs(math.nextafter(v, math.inf if f > 0 else 0.0) - v)
+        if abs(f) >= 0.5 * gap - 2.0 * bound:
+            v = math.fsum(np.exp(m[i] - a).tolist())
+        out.append(a + math.log(v))
+    return out
 
 
 def _logsumexp(mags) -> float:
-    """log sum exp of a 1-d array of raw log magnitudes; -inf when empty."""
+    """log sum exp of a 1-d array of raw log magnitudes; -inf when empty or all -inf."""
     return _logsumexp_rows(np.asarray(mags, dtype=np.float64)[None, :])[0]
 
 

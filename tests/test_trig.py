@@ -44,20 +44,160 @@ from sudlerlab.trig import (
 # -- log-sum-exp --------------------------------------------------------------
 
 
+def _sorted_fsum_rows(m):
+    """The log-sum-exp that _logsumexp_rows replaced, kept as its oracle.
+
+    Each row is sorted in descending order, shifted by its maximum and summed
+    with math.fsum; a row with no finite entry gives -inf.
+    """
+    out = []
+    for row in np.asarray(m, dtype=np.float64):
+        row = np.sort(row)[::-1]
+        if row.size == 0 or row[0] == -math.inf:
+            out.append(-math.inf)
+            continue
+        top = row[0]
+        out.append(float(top) + math.log(math.fsum(np.exp(row - top).tolist())))
+    return out
+
+
+@st.composite
+def _logsumexp_blocks(draw):
+    """2-d blocks of raw log magnitudes: ragged magnitudes within and across
+    rows, -inf entries and all -inf rows, repeated values, arguments far
+    below -745, single-term rows and rows of up to 2^18 terms."""
+    cols = draw(st.integers(1, 40) | st.sampled_from([64, 1000, 5330, 1 << 15, 1 << 18]))
+    rows = draw(st.integers(1, max(1, min(6, (1 << 19) // cols))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = 10.0 ** rng.uniform(-3.0, draw(st.sampled_from([0.0, 2.0, 4.0])), (rows, cols))
+    m = rng.normal(0.0, 1.0, (rows, cols)) * spread + rng.uniform(-1e3, 1e3, (rows, 1))
+    if draw(st.booleans()):
+        m = np.round(m, 1)  # many equal terms, and sums that land on ties
+    m[rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.2, 0.95]))] = -math.inf
+    m[rng.random(rows) < 0.2] = -math.inf
+    return m
+
+
+@given(_logsumexp_blocks())
+@settings(max_examples=60, deadline=None)
+def test_logsumexp_rows_bitwise_equals_sorted_fsum(m):
+    got = trig._logsumexp_rows(m)
+    assert got == _sorted_fsum_rows(m)
+    assert got == [trig._logsumexp(row) for row in m]
+
+
+def _exact_logs(target, stop=0.0):
+    """Logs y_j whose np.exp values sum exactly to target - rest, and rest.
+
+    Each step takes the largest np.exp value not above what is left, so the
+    rest shrinks by a factor near 2^-45 a step, until it drops below stop or
+    np.exp hits it exactly in the subnormal range.
+    """
+    logs, rest = [], target
+    while rest > stop:
+        y = math.log(rest)
+        while np.exp(y) > rest:
+            y = math.nextafter(y, -math.inf)
+        logs.append(y)
+        rest -= float(np.exp(y))  # exact: np.exp(y) lies in [rest/2, rest]
+        assert len(logs) < 100
+    return logs, rest
+
+
+def test_logsumexp_rows_near_ties_fall_back_to_fsum(monkeypatch):
+    """Rows whose exact sum S of terms sits on or next to a rounding midpoint.
+
+    The top term is 1; the others come from _exact_logs, so S is known
+    exactly.  Every row must take the fsum fallback and give fsum's double.
+    """
+    ties, _ = _exact_logs(2.0**-53)
+    big, rest = _exact_logs(3 * 2.0**-53, stop=2.0**-110)
+    assert rest > 0.0
+    small, _ = _exact_logs(math.nextafter(rest, 0.0))
+    below_two, _ = _exact_logs(1.0 - 2.0**-53)
+    rows = {
+        # S = 1 + 2^-53, a midpoint: ties to even, 1
+        "tie": ([0.0] + ties, 1.0),
+        # the same plus 2^-200: rounds up
+        "tie_plus": ([0.0] + ties + [math.log(2.0**-200)], 1.0 + 2.0**-52),
+        # S = 1 + 3 2^-53 - ulp(rest): the terms below 2^-110 of the top decide
+        # against the tie, which would round up to the even 1 + 2^-51
+        "deep": ([0.0] + big + small, 1.0 + 2.0**-52),
+        # S = 2 - 2^-53, the midpoint below 2 where the ulp doubles: ties to 2
+        "below_two": ([0.0] + below_two, 2.0),
+    }
+    width = max(len(r) for r, _ in rows.values())
+    m = np.full((len(rows), width), -math.inf)
+    for i, (r, _) in enumerate(rows.values()):
+        m[i, : len(r)] = r
+    want = _sorted_fsum_rows(m)
+    assert want == [math.log(s) for _, s in rows.values()]
+
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+    assert trig._logsumexp_rows(m) == want
+    assert len(calls) == len(rows)
+    for i, (r, _) in enumerate(rows.values()):
+        calls.clear()
+        assert trig._logsumexp(r) == want[i]
+        assert len(calls) == 1
+
+
+def test_logsumexp_rows_fallback_is_rare_off_ties(monkeypatch):
+    """Rows far from a tie never fall back: short and 2^18-term random rows,
+    and a sum that rounds down to 1, a power of two, from 1 + 0.75 2^-53."""
+    rng = np.random.default_rng(5)
+    blocks = [
+        rng.normal(0.0, 3.0, (200, 1000)),
+        rng.normal(0.0, 3.0, (2, 1 << 18)),
+        np.array([[0.0, math.log(1.5 * 2.0**-54)]]),
+    ]
+    wants = [_sorted_fsum_rows(m) for m in blocks]
+    assert wants[2] == [0.0]
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+    assert [trig._logsumexp_rows(m) for m in blocks] == wants
+    assert calls == []
+
+
+def test_logsumexp_rows_residuals_decide_rounding():
+    """A 64-term row whose high parts sit 2^-93 below the midpoint 1 + 2^-53
+    and whose residuals below 2^-94 carry it 2^-95 above it: rounds up.
+
+    At 64 terms the second split takes multiples of 2^-93, so the term near
+    2^-53 - 2^-93 is a high part and the five terms near 2^-95 are residuals.
+    """
+    row = [0.0, math.log(2.0**-53 - 2.0**-93)] + [math.log(2.0**-95)] * 5
+    m = np.array([row + [-math.inf] * (64 - len(row))])
+    want = _sorted_fsum_rows(m)
+    assert want == [math.log(1.0 + 2.0**-52)]
+    assert trig._logsumexp_rows(m) == want
+
+
+@pytest.mark.filterwarnings("error")
+def test_logsumexp_all_minus_inf_is_minus_inf():
+    assert trig._logsumexp([-math.inf]) == -math.inf
+    assert trig._logsumexp([-math.inf] * 5) == -math.inf
+    m = np.array([[-math.inf, -math.inf], [0.0, 0.0], [-math.inf, -math.inf], [-math.inf, 1.5]])
+    assert trig._logsumexp_rows(m) == [-math.inf, math.log(2.0), -math.inf, 1.5]
+
+
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=40))
 @settings(max_examples=100, deadline=None)
-def test_lognumber_sum_permutation_invariant(mags):
+def test_logsumexp_permutation_invariant(mags):
     s1 = trig._logsumexp(mags)
     rng = random.Random(17)
     terms = list(mags)
     for _ in range(3):
         rng.shuffle(terms)
-        assert trig._logsumexp(terms) == s1  # bitwise, thanks to sorting
+        assert trig._logsumexp(terms) == s1  # bitwise, because the sum is correctly rounded
     want = math.log(math.fsum(math.exp(m) for m in sorted(mags)))
     assert s1 == pytest.approx(want, rel=1e-12)
 
 
-def test_lognumber_sum_empty_and_zero():
+def test_logsumexp_empty_and_zero():
     assert trig._logsumexp([]) == -math.inf
     # a -inf term is the log of a zero summand
     assert trig._logsumexp([0.0, -math.inf]) == 0.0
