@@ -23,6 +23,8 @@ import re
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import PrecondError
 
 Rational = Fraction
@@ -371,6 +373,25 @@ def ostrowski_encode(N: int, table: ConvergentTable) -> OstrowskiRep:
     for l in range(table.depth - 1, -1, -1):
         digits[l], rem = divmod(rem, table.q(l))
     return OstrowskiRep(digits, table)
+
+
+def ostrowski_digits(table: ConvergentTable, n: int) -> np.ndarray:
+    """Greedy digits of every N < n at once: row l of the (depth, n) result is b_l(N).
+
+    Column N equals ostrowski_encode(N, table).digits; requires
+    0 <= n <= min(q_depth, 2^31).  The digits are int32, half the memory of
+    int64, and levels with q_l >= n hold only zeros.
+    """
+    if table.depth < 1:
+        raise PrecondError("table depth must be >= 1 to encode")
+    if not 0 <= n <= min(table.q(table.depth), 2**31):
+        raise PrecondError(f"n = {n} outside [0, min(q_{table.depth}, 2^31)]")
+    digits = np.zeros((table.depth, n), dtype=np.int32)
+    rem = np.arange(n, dtype=np.int32)
+    for l in range(table.depth - 1, -1, -1):
+        if table.q(l) < n:
+            np.divmod(rem, table.q(l), out=(digits[l], rem))
+    return digits
 
 
 def ostrowski_decode(rep: OstrowskiRep) -> int:

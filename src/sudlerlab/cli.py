@@ -2,7 +2,12 @@
 
 Outputs are deterministic: CSV files carry a header row, '.' decimals and
 17 significant digits, and rerunning a command with the same config and
-inputs reproduces the bytes exactly.  Exit codes: 0 success, 2 parse or
+inputs reproduces the bytes exactly.  Each CSV output states its header and
+line format once (`%d` for integer columns, `%.17g` for floats, `%s` for
+verify's names and verdicts), and `_write_rows` streams one `%` format per
+row, building nothing the size of the file; array columns become Python
+scalars a chunk of rows at a time.  No field needs CSV quoting: the names
+verify writes hold no ',', '"', CR or LF.  Exit codes: 0 success, 2 parse or
 precondition failure (also a missing or malformed config file, an unwritable
 output path, and an evaluation that hits a zero factor or a pole), 3 failed
 checks, 4 resource-cap or convergence abort.
@@ -12,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+
+import numpy as np
 
 from sudlerlab import cfrac, verify
 from sudlerlab.cfrac import cf_expand
@@ -114,12 +120,8 @@ def load_config(args: argparse.Namespace) -> Config:
 # -- formatting ---------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _fmt(value: float) -> str:
+    return f"{value:.17g}"
 
 
 def _open_out(path: str | None):
@@ -132,16 +134,35 @@ def _open_out(path: str | None):
         raise PrecondError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_rows(out, header: list[str], rows) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+# (header, line format) of each CSV output
+DIST_CSV = ("p,q,sum_partial_quotients,logJ,stat_logJ,stat_pq",
+            "%d,%d,%d,%.17g,%.17g,%.17g")
+REPORT_CSV = ("y,emp_cdf,stable_cdf", "%.17g,%.17g,%.17g")
+SCAN_CSV = ("p,q,x,h,psi,h_model", "%d,%d,%.17g,%.17g,%.17g,%.17g")
+VERIFY_CSV = ("check_id,case_id,lhs,rhs,margin,passed", "%s,%s,%.17g,%.17g,%.17g,%s")
 
 
-def _write_csv(path: str | None, header: list[str], rows) -> None:
+def _write_rows(out, layout: tuple[str, str], rows) -> None:
+    """The header, then `line % row` for each row, each ended by '\n'."""
+    header, line = layout
+    out.write(header + "\n")
+    out.writelines(map((line + "\n").__mod__, rows))
+
+
+def _array_rows(*columns):
+    """Rows of equal-length arrays as Python scalars, converted a chunk at a time.
+
+    Whole-column tolist would hold every row as Python objects at once; chunks
+    of 2^14 rows bound that memory whatever the file's length.
+    """
+    step = 1 << 14
+    for i in range(0, len(columns[0]), step):
+        yield from zip(*[c[i : i + step].tolist() for c in columns])
+
+
+def _write_csv(path: str | None, layout: tuple[str, str], rows) -> None:
     with _open_out(path) as out:
-        _write_rows(out, header, rows)
+        _write_rows(out, layout, rows)
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -185,6 +206,32 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     return 0
 
 
+def _scan_fractions(qmax: int, near: float | None, radius: float | None):
+    """The fractions of F_qmax that `scan` writes, ascending by q then p.
+
+    A window keeps r unless abs(float(r) - near) > radius, exactly as a filter
+    over all of F_qmax would, but only the rationals of [near - radius - pad,
+    near + radius + pad] are walked (Stern-Brocot descent).  For r in [0, 1]
+    the float test errs from |r - near| by less than 2^-51 (1 + |near|), so
+    the pad 2^-50 (1 + |near|) loses no kept fraction.  A non-finite near or
+    radius walks all of [0, 1].
+    """
+    if near is None:
+        return farey_enumerate(qmax)
+    lo, hi = Fraction(0), Fraction(1)
+    if math.isfinite(near) and math.isfinite(radius):
+        c, w = Fraction(near), Fraction(radius)
+        pad = (1 + abs(c)) / 2**50
+        lo, hi = max(lo, c - w - pad), min(hi, c + w + pad)
+    if lo >= hi:
+        return []
+    kept = [
+        r for r in cfrac.rationals_in_interval(lo, hi, qmax)
+        if 0 < r < 1 and not abs(float(r) - near) > radius
+    ]
+    return sorted(kept, key=lambda r: (r.denominator, r.numerator))
+
+
 def cmd_scan(args: argparse.Namespace, cfg: Config) -> int:
     if args.qmax < 2:
         raise PrecondError(f"--qmax must be >= 2, got {args.qmax}")
@@ -193,15 +240,13 @@ def cmd_scan(args: argparse.Namespace, cfg: Config) -> int:
     vol = vol_41()
 
     def rows():
-        for r in farey_enumerate(args.qmax):
+        for r in _scan_fractions(args.qmax, args.near, args.radius):
             x = float(r)
-            if args.near is not None and abs(x - args.near) > args.radius:
-                continue
             hv = h_eval(r)
             model = vol / (2.0 * math.pi * x) - 1.5 * math.log(x)
             yield (r.numerator, r.denominator, x, hv.h, hv.psi, model)
 
-    _write_csv(cfg.output_path, ["p", "q", "x", "h", "psi", "h_model"], rows())
+    _write_csv(cfg.output_path, SCAN_CSV, rows())
     return 0
 
 
@@ -214,7 +259,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     cases = verify.run_suite(args.suite, **kwargs)
     _write_csv(
         cfg.output_path,
-        ["check_id", "case_id", "lhs", "rhs", "margin", "passed"],
+        VERIFY_CSV,
         ((c.check_id, c.case_id, c.lhs, c.rhs, c.margin, c.passed) for c in cases),
     )
     failed = [c for c in cases if not c.passed]
@@ -241,18 +286,8 @@ def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:
         D = _D_from_rows(table[table["q"] <= Ncap], Ncap)
         stat_logJ = _stat_logJ_from_mag(table["logJ"], args.N, D)
         stat_pq = _stat_pq_from_sum(table["sum_a"], args.N)
-        _write_rows(
-            out,
-            ["p", "q", "sum_partial_quotients", "logJ", "stat_logJ", "stat_pq"],
-            zip(
-                table["p"].tolist(),
-                table["q"].tolist(),
-                table["sum_a"].tolist(),
-                table["logJ"].tolist(),
-                stat_logJ.tolist(),
-                stat_pq.tolist(),
-            ),
-        )
+        _write_rows(out, DIST_CSV, _array_rows(
+            table["p"], table["q"], table["sum_a"], table["logJ"], stat_logJ, stat_pq))
         law = _default_law()
         values = stat_logJ if args.stat == "logJ" else stat_pq
         emp = EmpiricalDist.from_values(values)
@@ -264,12 +299,8 @@ def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:
             print(f"D = {_fmt(D)}  (estimated over F_{Ncap})")
         if report is not None:
             ys = emp.samples
-            ecdf = [(i + 1) / emp.n for i in range(emp.n)]
-            _write_rows(
-                report,
-                ["y", "emp_cdf", "stable_cdf"],
-                zip(ys.tolist(), ecdf, law.cdf(ys).tolist()),
-            )
+            _write_rows(report, REPORT_CSV,
+                        _array_rows(ys, np.arange(1, emp.n + 1) / emp.n, law.cdf(ys)))
     return 0
 
 

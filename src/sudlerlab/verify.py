@@ -32,6 +32,7 @@ from sudlerlab.cfrac import (
     cf_tail,
     convergents,
     interval_Ik,
+    ostrowski_digits,
     ostrowski_encode,
     rationals_in_interval,
 )
@@ -215,13 +216,9 @@ def _concentration_parts(table: ConvergentTable, K: int, k: int, A: float):
     mags = _prefix_mags(table)[:qK]
     bstar = _b_star(a_next)
     thresh = 10.0 * math.sqrt(a_next * math.log(a_next))
-    b_k = np.empty(qK, dtype=np.int64)
-    head_zero = np.empty(qK, dtype=bool)
-    for N in range(qK):
-        rep = ostrowski_encode(N, table)
-        b_k[N] = rep.digit(k)
-        head_zero[N] = all(rep.digit(m) == 0 for m in range(k))
-    tail_sel = np.abs(b_k - bstar) >= thresh
+    digits = ostrowski_digits(table, qK)
+    head_zero = ~digits[:k].any(axis=0)
+    tail_sel = np.abs(digits[k] - bstar) >= thresh
     out = []
     for label, base in [("all", np.ones(qK, dtype=bool)), ("head_zero", head_zero)]:
         log_total = _logsumexp(2.0 * mags[base])
@@ -292,10 +289,7 @@ def _kashaev_parts(cf: CFExpansion, k: int, K: int, A: float):
     lhs = _logsumexp(2.0 * mags)
     head = _shifted_J_logmag(table.p(k), table.q(k),
                              Fraction((-1) ** k * 5, 6 * table.q(k)))
-    keep = np.empty(qK, dtype=bool)
-    for N in range(qK):
-        rep = ostrowski_encode(N, table)
-        keep[N] = all(rep.digit(m) == 0 for m in range(k))
+    keep = ~ostrowski_digits(table, qK)[:k].any(axis=0)
     tail = _logsumexp(2.0 * mags[keep])
     err = abs(lhs - head - tail)
     return err, xi

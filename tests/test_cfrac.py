@@ -16,6 +16,7 @@ from sudlerlab.cfrac import (
     drop_first_digit_map,
     interval_Ik,
     ostrowski_decode,
+    ostrowski_digits,
     ostrowski_encode,
     ostrowski_enumerate,
     parse_alpha,
@@ -265,6 +266,25 @@ def test_ostrowski_roundtrip_exhaustive():
         assert qL <= 10**4
         for N in range(qL):
             assert ostrowski_decode(ostrowski_encode(N, t)) == N
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=7),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=10**4),
+)
+def test_ostrowski_digits_match_scalar_encode(digits, depth_cut, n):
+    # the all-N divmod passes against per-N ostrowski_encode, the scalar oracle
+    t = convergents(CFExpansion.from_partial_quotients(0, digits),
+                    max(1, len(digits) - depth_cut))
+    n = min(n, t.q(t.depth))
+    got = ostrowski_digits(t, n)
+    assert got.shape == (t.depth, n)
+    for N in range(n):
+        assert tuple(got[:, N].tolist()) == ostrowski_encode(N, t).digits
+    with pytest.raises(PrecondError):
+        ostrowski_digits(t, t.q(t.depth) + 1)
 
 
 def test_ostrowski_enumerate_order_and_count():

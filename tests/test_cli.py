@@ -2,13 +2,16 @@
 
 import csv
 import importlib
+import io
 import math
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sudlerlab
 from sudlerlab import cli, dist, verify
@@ -24,6 +27,98 @@ def run(argv, capsys):
 
 def _record(out):
     return dict(line.split(" = ", 1) for line in out.strip().splitlines())
+
+
+# -- CSV writer ------------------------------------------------------------------
+
+
+def _oracle_fmt(value):
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _oracle_write_rows(out, layout, rows):
+    """The csv.writer + per-field formatting the one-format-per-line writer replaced."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(layout[0].split(","))
+    for row in rows:
+        writer.writerow([_oracle_fmt(v) for v in row])
+
+
+_INTS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200),
+    st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64),
+)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.5e-320,
+                     2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
+)
+_NAMES = st.text(st.characters(blacklist_characters=',"\r\n',
+                               blacklist_categories=("Cs",)), min_size=1)
+_FLAGS = st.one_of(st.booleans(), st.booleans().map(np.bool_))
+_LAYOUT_FIELDS = {
+    "dist": (cli.DIST_CSV, [_INTS] * 3 + [_FLOATS] * 3),
+    "report": (cli.REPORT_CSV, [_FLOATS] * 3),
+    "scan": (cli.SCAN_CSV, [_INTS] * 2 + [_FLOATS] * 4),
+    "verify": (cli.VERIFY_CSV, [_NAMES] * 2 + [_FLOATS] * 3 + [_FLAGS]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUT_FIELDS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_writer_matches_csv_module_oracle(name, data):
+    layout, fields = _LAYOUT_FIELDS[name]
+    rows = data.draw(st.lists(st.tuples(*fields), max_size=20))
+    got, want = io.StringIO(), io.StringIO()
+    cli._write_rows(got, layout, iter(rows))
+    _oracle_write_rows(want, layout, rows)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_array_rows_cross_chunk_boundaries():
+    n = 2 * (1 << 14) + 5
+    a = np.arange(n, dtype=np.int64) * 3
+    b = np.linspace(-1.0, 1.0, n)
+    rows = list(cli._array_rows(a, b))
+    assert rows == list(zip(a.tolist(), b.tolist()))
+    assert type(rows[-1][0]) is int and type(rows[-1][1]) is float
+    assert list(cli._array_rows(a[:0], b[:0])) == []
+
+
+def test_dist_files_match_csv_module_oracle(tmp_path, capsys, monkeypatch):
+    argv = ["dist", "--N", "60", "--stat", "logJ"]
+    new = [tmp_path / "d.csv", tmp_path / "r.csv"]
+    old = [tmp_path / "d_old.csv", tmp_path / "r_old.csv"]
+    rc, out, _ = run(argv + ["--out", str(new[0]), "--report", str(new[1])], capsys)
+    monkeypatch.setattr(cli, "_write_rows", _oracle_write_rows)
+    rc_old, out_old, _ = run(argv + ["--out", str(old[0]), "--report", str(old[1])],
+                             capsys)
+    assert rc == rc_old == 0 and out == out_old
+    for a, b in zip(new, old):
+        assert a.read_bytes() == b.read_bytes()
+    # emp_cdf is (i + 1) / n, one division per row
+    lines = new[1].read_text().splitlines()[1:]
+    n = len(lines)
+    assert n == sum(1 for _ in farey_enumerate(60))
+    assert [ln.split(",")[1] for ln in lines] == [f"{(i + 1) / n:.17g}" for i in range(n)]
+
+
+def test_verify_names_need_no_csv_quoting():
+    # the writer's `%s` matches csv's QUOTE_MINIMAL only for such names;
+    # continuity and th3 at small caps build their ids as at the defaults
+    kwargs = {"continuity": {"qcap": 800}, "th3": {"Ncap": 60}}
+    for suite in sorted(verify.SUITES):
+        for c in verify.run_suite(suite, **kwargs.get(suite, {})):
+            for name in (c.check_id, c.case_id):
+                assert isinstance(name, str) and name
+                assert not set(name) & set(',"\r\n'), (suite, name)
 
 
 # -- eval ------------------------------------------------------------------------
@@ -123,6 +218,57 @@ def test_scan_window_filter(tmp_path, capsys):
     assert rc == 0
     rows = list(csv.DictReader(path.open()))
     assert rows and all(abs(float(r["x"]) - 0.1) <= 0.01 for r in rows)
+
+
+def _oracle_scan_fractions(qmax, near, radius):
+    """The filter over all of F_qmax that the Stern-Brocot window replaced."""
+    return [r for r in farey_enumerate(qmax)
+            if near is None or not abs(float(r) - near) > radius]
+
+
+@pytest.mark.parametrize("qmax, near, radius", [
+    (120, 0.25, 0.05),             # edges 1/5 and 3/10 are Farey fractions
+    (120, 0.5, 0.3),               # 1/5 lies past the radius, yet its float passes
+    (120, 0.5, 0.09999999999999998),
+    (120, 1 / 3, 1 / 3 - 1 / 5),   # edges 1/5 and 7/15 as rounded floats
+    (120, 0.5, 0.0),               # radius 0 on a fraction: one row
+    (120, 0.3, 0.0),               # radius 0 on 3/10 as the float 0.3
+    (120, 0.01, 0.02),             # reaches past 0
+    (120, 0.995, 0.01),            # reaches past 1
+    (60, 0.5, 0.5),                # touches both 0 and 1
+    (120, 0.1, -0.01),             # negative radius: header only
+    (120, 0.1, -1e-300),
+    (120, 1.5, 0.2),               # window outside (0, 1)
+    (30, 0.5, math.inf),
+    (30, math.nan, 0.1),
+])
+def test_scan_window_matches_full_filter(qmax, near, radius, tmp_path, capsys,
+                                         monkeypatch):
+    argv = ["scan", "--qmax", str(qmax), f"--near={near!r}", f"--radius={radius!r}"]
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    rc, _, _ = run(argv + ["--out", str(new)], capsys)
+    monkeypatch.setattr(cli, "_scan_fractions", _oracle_scan_fractions)
+    monkeypatch.setattr(cli, "_write_rows", _oracle_write_rows)
+    rc_old, _, _ = run(argv + ["--out", str(old)], capsys)
+    assert rc == rc_old == 0
+    assert new.read_bytes() == old.read_bytes()
+
+
+_FAREY_FLOATS = st.builds(lambda p, q: p / q, st.integers(0, 90), st.integers(1, 90))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.floats(-0.2, 1.2), _FAREY_FLOATS),
+    st.one_of(st.floats(-1e-3, 0.3), st.sampled_from([0.0, 1e-17, 2.0**-52])),
+    st.one_of(st.none(), _FAREY_FLOATS),
+)
+def test_scan_fractions_match_full_filter(near, radius, edge):
+    # an edge given as a float fraction puts that fraction on the window's rim
+    if edge is not None:
+        radius = abs(edge - near)
+    assert list(cli._scan_fractions(90, near, radius)) == \
+        _oracle_scan_fractions(90, near, radius)
 
 
 def test_scan_model_column(tmp_path, capsys):
