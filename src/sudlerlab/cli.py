@@ -28,7 +28,6 @@ import numpy as np
 from sudlerlab import cfrac, verify
 from sudlerlab.cfrac import cf_expand
 from sudlerlab.dist import (
-    EmpiricalDist,
     _D_from_rows,
     _default_law,
     _stat_logJ_from_mag,
@@ -54,8 +53,8 @@ PRESETS = ("golden", "sqrt2inv", "e-2")
 class Config:
     """Process-wide knobs; flags override the optional key=value file."""
 
-    qcap: int = 10**4
-    Ncap: int = 200
+    qcap: int = verify.QCAP
+    Ncap: int = verify.NCAP
     threads: int = 1
     output_path: str | None = None
 
@@ -213,16 +212,14 @@ def _scan_fractions(qmax: int, near: float | None, radius: float | None):
     over all of F_qmax would, but only the rationals of [near - radius - pad,
     near + radius + pad] are walked (Stern-Brocot descent).  For r in [0, 1]
     the float test errs from |r - near| by less than 2^-51 (1 + |near|), so
-    the pad 2^-50 (1 + |near|) loses no kept fraction.  A non-finite near or
-    radius walks all of [0, 1].
+    the pad 2^-50 (1 + |near|) loses no kept fraction.  near and radius are
+    finite: cmd_scan rejects any other.
     """
     if near is None:
         return farey_enumerate(qmax)
-    lo, hi = Fraction(0), Fraction(1)
-    if math.isfinite(near) and math.isfinite(radius):
-        c, w = Fraction(near), Fraction(radius)
-        pad = (1 + abs(c)) / 2**50
-        lo, hi = max(lo, c - w - pad), min(hi, c + w + pad)
+    c, w = Fraction(near), Fraction(radius)
+    pad = (1 + abs(c)) / 2**50
+    lo, hi = max(Fraction(0), c - w - pad), min(Fraction(1), c + w + pad)
     if lo >= hi:
         return []
     kept = [
@@ -237,6 +234,8 @@ def cmd_scan(args: argparse.Namespace, cfg: Config) -> int:
         raise PrecondError(f"--qmax must be >= 2, got {args.qmax}")
     if (args.near is None) != (args.radius is None):
         raise PrecondError("--near and --radius go together")
+    if args.near is not None and not (math.isfinite(args.near) and math.isfinite(args.radius)):
+        raise PrecondError(f"--near and --radius must be finite, got {args.near}, {args.radius}")
     vol = vol_41()
 
     def rows():
@@ -290,17 +289,17 @@ def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:
             table["p"], table["q"], table["sum_a"], table["logJ"], stat_logJ, stat_pq))
         law = _default_law()
         values = stat_logJ if args.stat == "logJ" else stat_pq
-        emp = EmpiricalDist.from_values(values)
-        ks = ks_compare(emp, law)
+        n = values.size
+        ks = ks_compare(values, law)
         print(f"stat = {args.stat}")
-        print(f"n = {emp.n}")
+        print(f"n = {n}")
         print(f"KS = {_fmt(ks)}")
         if args.stat == "logJ":
             print(f"D = {_fmt(D)}  (estimated over F_{Ncap})")
         if report is not None:
-            ys = emp.samples
+            ys = np.sort(values)
             _write_rows(report, REPORT_CSV,
-                        _array_rows(ys, np.arange(1, emp.n + 1) / emp.n, law.cdf(ys)))
+                        _array_rows(ys, np.arange(1, n + 1) / n, law.cdf(ys)))
     return 0
 
 
@@ -334,8 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="CSV of (p, q, x, h, psi, h_model) over F_qmax")
     _add_common_flags(p, subcommand=True)
     p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--near", type=float, help="window center")
-    p.add_argument("--radius", type=float, help="window half-width")
+    # argparse reads "-1e-05" as an option, so that form needs the "="
+    p.add_argument("--near", type=float,
+                   help="window center; write a negative exponent as --near=-1e-05")
+    p.add_argument("--radius", type=float,
+                   help="window half-width; write a negative exponent as --radius=-1e-05")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="run one check suite, write the report CSV")

@@ -22,8 +22,10 @@ u = theta + pi/2 with c = exp(-pi y/2) and
 The integrands are positive and do not oscillate.  V increases from 2/(pi e)
 to infinity, so c V(u) crosses 1 at a single point u*; Gauss-Legendre panels
 graded geometrically toward u* from both sides carry the quadrature, and a
-coarser rule on the same panels guards its convergence.  The right tail
-beyond the CDF grid uses 1 - F(y) ~ (2/pi)/y.
+coarser rule on the same panels guards its convergence.  The CDF grid is
+fixed (StableLaw.grid_lo, grid_hi, grid_step), and the right tail beyond it
+uses 1 - F(y) ~ (2/pi)/y.  `ks_compare` takes a sample in any order, as a
+plain array, and measures its Kolmogorov-Smirnov distance from the law.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -42,7 +43,6 @@ from sudlerlab.errors import PrecondError, QuadratureError
 from sudlerlab.jones import _logJ_rows, jones_J, vol_41
 
 __all__ = [
-    "EmpiricalDist",
     "StableLaw",
     "farey_enumerate",
     "statistic_logJ",
@@ -183,18 +183,17 @@ def _nolan(y) -> tuple[np.ndarray, np.ndarray]:
     return F, g
 
 
-@dataclass
 class StableLaw:
     """The standard stable law with stability 1 and skewness 1.
 
-    `cdf` and `quantile` interpolate F on the grid grid_lo, grid_lo +
+    `cdf` and `quantile` interpolate F on the fixed grid grid_lo, grid_lo +
     grid_step, ..., grid_hi, built on first use; `density` and `cdf_exact`
     evaluate the integrals directly.
     """
 
-    grid_lo: float = -12.0
-    grid_hi: float = 80.0
-    grid_step: float = 0.02
+    grid_lo = -12.0
+    grid_hi = 80.0
+    grid_step = 0.02
 
     def density(self, y):
         """g(y); an array for array y."""
@@ -260,27 +259,13 @@ def stable_cdf(y):
 # -- empirical side --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmpiricalDist:
-    """Sorted sample vector with its size."""
-
-    samples: np.ndarray
-
-    @classmethod
-    def from_values(cls, values) -> "EmpiricalDist":
-        return cls(np.sort(np.asarray(values, dtype=np.float64)))
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-
-def ks_compare(emp: EmpiricalDist, law: StableLaw) -> float:
-    """Kolmogorov-Smirnov sup distance between the sample and the law."""
-    n = emp.n
+def ks_compare(samples, law: StableLaw) -> float:
+    """Kolmogorov-Smirnov sup distance between a sample, in any order, and the law."""
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    n = x.size
     if n < 100:
         raise PrecondError(f"need n >= 100 samples, got {n}")
-    F = np.asarray(law.cdf(emp.samples))
+    F = np.asarray(law.cdf(x))
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 

@@ -28,7 +28,7 @@ import numpy as np
 from sudlerlab.cfrac import CFExpansion, cf_expand, cf_tail, convergents
 from sudlerlab.errors import EnumerationCapError, PrecondError, ZeroFactorError
 from sudlerlab.trig import (
-    DEFAULT_ENUM_CAP,
+    ENUM_CAP,
     _first_zero,
     _logf_residues,
     _logsumexp,
@@ -120,8 +120,8 @@ def _logJ_rows(q: int, ps) -> list[float]:
     cumulative sum.  Rows go a block at a time through trig._logsumexp_rows,
     which sums each row correctly rounded in a few passes over the block, so
     a value does not depend on how rows are batched; _BLOCK_TERMS bounds its
-    temporaries.  Callers keep q within trig.DEFAULT_ENUM_CAP (2^21), so
-    n p < 2^42 and the residues are exact in int64.
+    temporaries.  Callers keep q within trig.ENUM_CAP (2^21), so n p < 2^42
+    and the residues are exact in int64.
     """
     ps = np.asarray(ps, dtype=np.int64)
     table = np.zeros(q // 2 + 1)  # entry 0 (a vanishing factor) is never read
@@ -144,10 +144,10 @@ def _logJ_mag(p: int, q: int) -> float:
     """log J(p/q) for 0 <= p < q, cached.
 
     Raises EnumerationCapError, before anything is allocated, when q exceeds
-    trig.DEFAULT_ENUM_CAP (2^21).
+    trig.ENUM_CAP (2^21).
     """
-    if q > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(f"denominator q = {q} exceeds cap {DEFAULT_ENUM_CAP}")
+    if q > ENUM_CAP:
+        raise EnumerationCapError(f"denominator q = {q} exceeds cap {ENUM_CAP}")
     if q == 1:
         return 0.0
     return _logJ_rows(q, [p])[0]

@@ -56,8 +56,9 @@ LOG2 = math.log(2.0)
 # explicit_formula_eval decides the zero factors and poles of its float grid at this distance
 POLE_GUARD = 1e-13
 
-# product_form_logs and the Jones sums refuse to materialize more values than this
-DEFAULT_ENUM_CAP = 1 << 21
+# the one resource cap: the prefix logs, the product form, the Jones sums and
+# verify's oscillation refuse, before allocating, to materialize more values
+ENUM_CAP = 1 << 21
 
 # exact values of log f on the small torus rationals that tests pin down
 _EXACT_LOGF = {
@@ -179,7 +180,8 @@ def sudler_prefix_logmags(r: Fraction, N_max: int) -> np.ndarray:
     """Raw float array of log P_N(r) for N = 0..N_max, rational r = p/q.
 
     Entry 0 is the empty product.  Requires N_max < q so that no factor
-    vanishes.
+    vanishes.  Raises EnumerationCapError, before anything is allocated,
+    when the N_max + 1 entries exceed ENUM_CAP.
     """
     r = Fraction(r)
     q = r.denominator
@@ -188,25 +190,10 @@ def sudler_prefix_logmags(r: Fraction, N_max: int) -> np.ndarray:
             f"need 0 <= N_max < den(r); got N_max={N_max}, den={q}"
             " (the factor at n = den vanishes)"
         )
-    p = r.numerator % q
-    out = np.empty(N_max + 1)
-    out[0] = 0.0
-    if N_max == 0:
-        return out
-    if q <= (1 << 31):
-        res = (np.arange(1, N_max + 1, dtype=np.int64) * p) % q
-        rm = np.minimum(res, q - res)
-        np.cumsum(np.log(2.0 * np.sin(np.pi * (rm / q))), out=out[1:])
-    else:
-        # bigint fallback, incremental residues
-        acc, rnum = 0.0, 0
-        for n in range(1, N_max + 1):
-            rnum += p
-            if rnum >= q:
-                rnum -= q
-            tm = min(rnum, q - rnum)
-            acc += math.log(2.0 * math.sin(math.pi * (tm / q)))
-            out[n] = acc
+    if N_max + 1 > ENUM_CAP:
+        raise EnumerationCapError(f"N_max + 1 = {N_max + 1} exceeds cap {ENUM_CAP}")
+    out = np.zeros(N_max + 1)
+    np.cumsum(_logf_residues(_residues(r.numerator, q, N_max), q), out=out[1:])
     return out
 
 
@@ -336,7 +323,7 @@ def product_form_eval(rep: OstrowskiRep, table: ConvergentTable | None = None) -
     return math.fsum(acc)
 
 
-def product_form_logs(table: ConvergentTable, K: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def product_form_logs(table: ConvergentTable, K: int) -> np.ndarray:
     """log P_N for every N < q_K at once, one array pass per digit level.
 
     Walks the Ostrowski digit tree from position K - 1 down to 0, a whole
@@ -354,11 +341,12 @@ def product_form_logs(table: ConvergentTable, K: int, cap: int = DEFAULT_ENUM_CA
     Every argument is an exact integer residue mod the table's reference
     denominator Q, for any Q (see _residues); there is no floating fallback,
     so the result does not degrade on deep tables.  Raises
-    EnumerationCapError when q_K exceeds cap.
+    EnumerationCapError, before anything is allocated, when q_K exceeds
+    ENUM_CAP.
     """
     qK = table.q(K)
-    if qK > cap:
-        raise EnumerationCapError(f"q_K = {qK} exceeds cap {cap}")
+    if qK > ENUM_CAP:
+        raise EnumerationCapError(f"q_K = {qK} exceeds cap {ENUM_CAP}")
     out = np.zeros(qK)
     if K == 0:
         return out

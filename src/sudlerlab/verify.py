@@ -39,6 +39,7 @@ from sudlerlab.cfrac import (
 from sudlerlab.errors import EnumerationCapError, PrecondError
 from sudlerlab.jones import h_eval, vol_41, _shifted_J_logmag
 from sudlerlab.trig import (
+    ENUM_CAP,
     _logsumexp,
     cotangent_sum,
     cotangent_V,
@@ -65,8 +66,9 @@ __all__ = [
     "KASHAEV_INSTANCES",
 ]
 
-ENUM_CAP = 10**7
+# default qcap of the continuity suite and Ncap of th3; cli.Config reads both
 QCAP = 10**4
+NCAP = 200
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,10 @@ def _prefix_mags_cached(p: int, q: int) -> np.ndarray:
 
 
 def _prefix_mags(table: ConvergentTable) -> np.ndarray:
-    """log P_N(alpha) for N = 0 .. q-1 at the table's exact rational alpha."""
+    """log P_N(alpha) for N = 0 .. q-1 at the table's exact rational alpha.
+
+    Raises EnumerationCapError when q exceeds trig.ENUM_CAP.
+    """
     a = table.alpha_exact
     if not table.cf.is_finite or table.depth != table.cf.L:
         raise PrecondError("need the full-depth table of a rational alpha")
@@ -211,8 +216,6 @@ def _concentration_parts(table: ConvergentTable, K: int, k: int, A: float):
         raise PrecondError(f"admissibility ratio {hyp:.4g} exceeds A={A}")
     a_next = table.partial(k + 1)
     qK = table.q(K)
-    if qK > ENUM_CAP:
-        raise EnumerationCapError(f"q_K = {qK} exceeds enumeration cap {ENUM_CAP}")
     mags = _prefix_mags(table)[:qK]
     bstar = _b_star(a_next)
     thresh = 10.0 * math.sqrt(a_next * math.log(a_next))
@@ -283,8 +286,6 @@ def _kashaev_parts(cf: CFExpansion, k: int, K: int, A: float):
     if xi > A:
         raise PrecondError(f"hypothesis xi_k = {xi:.4g} <= A = {A} fails")
     qK = table.q(K)
-    if qK > ENUM_CAP:
-        raise EnumerationCapError(f"q_K = {qK} exceeds enumeration cap {ENUM_CAP}")
     mags = _prefix_mags(table)[:qK]
     lhs = _logsumexp(2.0 * mags)
     head = _shifted_J_logmag(table.p(k), table.q(k),
@@ -350,10 +351,12 @@ def oscillation(cf: CFExpansion, k: int, qcap: int = QCAP) -> tuple[float, float
 
     osc is max - min of h over the rationals in the closed interval I_(k+1)
     with denominator at most qcap; the envelope combines xi_k with the tail
-    terms at scale q_k/a_1.  Raises when the interval holds no such rational.
+    terms at scale q_k/a_1.  Raises when the interval holds no such rational,
+    and raises EnumerationCapError, before enumerating, when qcap exceeds
+    trig.ENUM_CAP, the largest denominator of a Jones sum.
     """
-    if qcap > QCAP * 10:
-        raise EnumerationCapError(f"qcap {qcap} exceeds {QCAP * 10}")
+    if qcap > ENUM_CAP:
+        raise EnumerationCapError(f"qcap {qcap} exceeds cap {ENUM_CAP}")
     lo, hi = interval_Ik(cf, k + 1)
     hs = [h_eval(r).h for r in rationals_in_interval(lo, hi, qcap)]
     if not hs:
@@ -424,13 +427,8 @@ def _random_digits(table: ConvergentTable, rng, overrides: dict | None = None) -
     return digits
 
 
-def local56_cases(
-    seed: int = 0,
-    n_random: int = 500,
-    qmax: int = 5000,
-    fits: list | None = None,
-) -> list[CheckCase]:
-    """Constructed a_(k+1) = 200/300 sweeps plus a randomized corpus.
+def local56_cases(seed: int = 0, fits: list | None = None) -> list[CheckCase]:
+    """Constructed a_(k+1) = 200/300 sweeps plus 500 random instances, q_L <= 5000.
 
     When `fits` is a list it collects the per-case constant that would make
     the inequality exactly tight, which is what the calibration tool reads.
@@ -463,14 +461,14 @@ def local56_cases(
             f"constructed_a{a_big}_saturated")
 
     made = 0
-    while made < n_random:
+    while made < 500:
         L = int(rng.integers(3, 6))
         k = int(rng.integers(0, L - 1))
-        hi = min(400, max(8, qmax // 4 ** (L - 1)))
+        hi = min(400, max(8, 5000 // 4 ** (L - 1)))
         a_big = int(rng.integers(7, hi + 1))
         cf = _random_cf(rng, L, big_at=k + 1, big=a_big, small_hi=3)
         table = convergents(cf, cf.L)
-        if table.q(cf.L) > qmax:
+        if table.q(cf.L) > 5000:
             continue
         digits = _random_digits(table, rng)
         add(table, OstrowskiRep(digits, table).value(), k, f"random_{made}")
@@ -507,12 +505,12 @@ def concentration_cases() -> list[CheckCase]:
     return cases
 
 
-def factor_cases(seed: int = 0, n_random: int = 200) -> list[CheckCase]:
-    """Two-block factorization sweep plus Jones-sum factorization instances."""
+def factor_cases(seed: int = 0) -> list[CheckCase]:
+    """Two-block factorization on 200 random instances plus the Jones-sum instances."""
     rng = np.random.default_rng(seed)
     cases = []
     made = 0
-    while made < n_random:
+    while made < 200:
         L = int(rng.integers(3, 5))
         k = int(rng.integers(1, L))
         hi = min(600, 3 * 10**4 // 5 ** (L - 1))
@@ -542,15 +540,15 @@ def factor_cases(seed: int = 0, n_random: int = 200) -> list[CheckCase]:
     return cases
 
 
-def tail_cases(seed: int = 0, n_random: int = 150, qmax: int = 5000) -> list[CheckCase]:
-    """Random rationals, all admissible levels, plus a large-a_1 instance."""
+def tail_cases(seed: int = 0) -> list[CheckCase]:
+    """150 random rationals, q < 5000, at all admissible levels, plus a large-a_1 one."""
     from sudlerlab.cfrac import cf_expand
 
     rng = np.random.default_rng(seed)
     cases = []
     made = 0
-    while made < n_random:
-        q = int(rng.integers(20, qmax))
+    while made < 150:
+        q = int(rng.integers(20, 5000))
         p = int(rng.integers(1, q))
         if math.gcd(p, q) != 1:
             continue
@@ -814,7 +812,7 @@ def continuity_cases(qcap: int = QCAP) -> list[CheckCase]:
     return cases
 
 
-def th3_cases(Ncap: int = 200) -> list[CheckCase]:
+def th3_cases(Ncap: int = NCAP) -> list[CheckCase]:
     """Sup of |h - Vol/(2 pi x)| / (1 + |log x|) over the Farey set F_Ncap.
 
     The sup must stay below the frozen constant; the finiteness of sup |psi|

@@ -238,7 +238,7 @@ def test_gate_08_oscillation_shrinks_at_growing_quotients():
 
 
 def test_gate_09_two_scale_bounds_and_tail_mass():
-    rows = verify.local56_cases(seed=0, n_random=500)
+    rows = verify.local56_cases(seed=0)
     failed = [c.case_id for c in rows if not c.passed]
     n_constructed = sum(1 for c in rows if c.case_id.startswith("constructed"))
     print(f"[gate 09] two-scale bounds: {len(rows)} cases "
@@ -286,8 +286,7 @@ def test_gate_10_partial_quotient_statistic_vs_stable_law():
     assert abs(total - 1.0) <= 1e-6
 
     # the quantile sampler reproduces its own law
-    ks_self = dist.ks_compare(
-        dist.EmpiricalDist.from_values(law.sample(10**4, seed=5)), law)
+    ks_self = dist.ks_compare(law.sample(10**4, seed=5), law)
     assert ks_self <= 0.02
 
     t0 = time.perf_counter()
@@ -298,8 +297,7 @@ def test_gate_10_partial_quotient_statistic_vs_stable_law():
 
     stats = {N: [dist._stat_pq_from_sum(int(r["sum_a"]), N) for r in rows]
              for N, rows in ((200, rows_200), (1000, rows_1000))}
-    ks = {N: dist.ks_compare(dist.EmpiricalDist.from_values(vals), law)
-          for N, vals in stats.items()}
+    ks = {N: dist.ks_compare(vals, law) for N, vals in stats.items()}
     print(f"[gate 10] normalization {total:.8f}, self KS {ks_self:.4f}, "
           f"sweep(1000, 8 workers) {dt:.1f}s, "
           f"KS(200)={ks[200]:.4f}, KS(1000)={ks[1000]:.4f}")
@@ -310,7 +308,7 @@ def test_gate_10_partial_quotient_statistic_vs_stable_law():
     ks_sampled = {}
     for e in (3, 40, 640):
         vals = _farey_sample_stat_pq(10**e, 20000, seed=0)
-        ks_sampled[e] = dist.ks_compare(dist.EmpiricalDist.from_values(vals), law)
+        ks_sampled[e] = dist.ks_compare(vals, law)
     trajectory = ", ".join(f"KS(10^{e})={v:.4f}" for e, v in ks_sampled.items())
     print(f"[gate 10] sampled: {trajectory}")
 

@@ -239,19 +239,25 @@ def _oracle_scan_fractions(qmax, near, radius):
     (120, 0.1, -0.01),             # negative radius: header only
     (120, 0.1, -1e-300),
     (120, 1.5, 0.2),               # window outside (0, 1)
-    (30, 0.5, math.inf),
+    (30, 0.5, math.inf),           # a non-finite near or radius exits 2
     (30, math.nan, 0.1),
+    (30, math.inf, 0.1),
 ])
 def test_scan_window_matches_full_filter(qmax, near, radius, tmp_path, capsys,
                                          monkeypatch):
+    # a non-finite window is a precondition error, refused before --out opens
+    want = 0 if math.isfinite(near) and math.isfinite(radius) else 2
     argv = ["scan", "--qmax", str(qmax), f"--near={near!r}", f"--radius={radius!r}"]
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     rc, _, _ = run(argv + ["--out", str(new)], capsys)
     monkeypatch.setattr(cli, "_scan_fractions", _oracle_scan_fractions)
     monkeypatch.setattr(cli, "_write_rows", _oracle_write_rows)
     rc_old, _, _ = run(argv + ["--out", str(old)], capsys)
-    assert rc == rc_old == 0
-    assert new.read_bytes() == old.read_bytes()
+    assert rc == rc_old == want
+    if want:
+        assert not new.exists() and not old.exists()
+    else:
+        assert new.read_bytes() == old.read_bytes()
 
 
 _FAREY_FLOATS = st.builds(lambda p, q: p / q, st.integers(0, 90), st.integers(1, 90))
@@ -429,6 +435,11 @@ def test_arithmetic_errors_exit_2(exc, capsys, monkeypatch):
 def test_eval_denominator_past_enum_cap_exits_4(x, capsys):
     # q = 2^21 + 1 at x itself, or at the 1/x side of h
     rc, _, err = run(["eval", x], capsys)
+    assert rc == 4 and err.startswith("resource cap:")
+
+
+def test_continuity_qcap_past_enum_cap_exits_4(capsys):
+    rc, _, err = run(["verify", "--suite", "continuity", "--qcap", "2097153"], capsys)
     assert rc == 4 and err.startswith("resource cap:")
 
 

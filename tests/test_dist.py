@@ -21,7 +21,6 @@ from sudlerlab.dist import (
     _D_from_rows,
     _partial_quotient_sums,
     _default_law,
-    EmpiricalDist,
     estimate_D,
     farey_enumerate,
     ks_compare,
@@ -133,28 +132,29 @@ def test_quantile_rejects_endpoints(law):
 
 
 def test_sample_self_consistency(law):
-    emp = EmpiricalDist.from_values(law.sample(10**4, seed=5))
-    assert ks_compare(emp, law) <= 0.02
+    assert ks_compare(law.sample(10**4, seed=5), law) <= 0.02
 
 
 # -- empirical side -----------------------------------------------------------------
 
 
-def test_empirical_dist_sorts_and_counts():
-    emp = EmpiricalDist.from_values([3.0, -1.0, 2.0])
-    assert emp.n == 3
-    assert np.all(np.diff(emp.samples) >= 0)
+def test_empirical_dist_sorts_and_counts(law):
+    # ks_compare sorts its sample: any order gives the same KS, bit for bit
+    ys = law.sample(500, seed=3)
+    shuffled = np.random.default_rng(4).permutation(ys)
+    assert not np.array_equal(shuffled, ys)
+    assert ks_compare(shuffled, law) == ks_compare(ys, law)
+    assert ks_compare(list(shuffled), law) == ks_compare(ys, law)
 
 
 def test_ks_compare_constant_sample(law):
-    emp = EmpiricalDist.from_values(np.zeros(200))
     F0 = float(law.cdf(0.0))
-    assert ks_compare(emp, law) == pytest.approx(max(F0, 1.0 - F0), abs=1e-2)
+    assert ks_compare(np.zeros(200), law) == pytest.approx(max(F0, 1.0 - F0), abs=1e-2)
 
 
 def test_ks_compare_needs_enough_samples():
     with pytest.raises(PrecondError):
-        ks_compare(EmpiricalDist.from_values(np.zeros(50)), _default_law())
+        ks_compare(np.zeros(50), _default_law())
 
 
 # -- Farey enumeration ---------------------------------------------------------------

@@ -237,6 +237,13 @@ def test_sudler_prefix_examples():
         sudler_prefix_logmags(Fraction(1, 3), 3)
 
 
+def test_sudler_prefix_cap():
+    # N_max + 1 = ENUM_CAP + 1 entries: refused before any array is made
+    q = trig.ENUM_CAP + 1
+    with pytest.raises(EnumerationCapError):
+        sudler_prefix_logmags(Fraction(1, q), q - 1)
+
+
 def test_sudler_prefix_matches_bruteforce():
     r = Fraction(5, 13)
     logs = sudler_prefix_logmags(r, 12)
@@ -419,9 +426,11 @@ def test_product_form_logs_float_fallback():
 
 
 def test_product_form_logs_cap():
-    t = convergents(CFExpansion.preset("golden"), 20)
+    # q_31 = F_32 = 2178309 is the first golden denominator past 2^21
+    t = convergents(CFExpansion.preset("golden"), 31)
+    assert t.q(30) <= trig.ENUM_CAP < t.q(31)
     with pytest.raises(EnumerationCapError):
-        product_form_logs(t, 20, cap=100)
+        product_form_logs(t, 31)
 
 
 def _pf_rel_err(batch, direct):

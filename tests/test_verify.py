@@ -15,6 +15,7 @@ import pytest
 from sudlerlab import frozen, verify
 from sudlerlab.cfrac import CFExpansion, OstrowskiRep, cf_tail, convergents, ostrowski_encode
 from sudlerlab.errors import EnumerationCapError, PrecondError
+from sudlerlab.trig import ENUM_CAP
 
 
 def _make(digits):
@@ -190,6 +191,14 @@ def test_kashaev_hypothesis_gate():
         verify._kashaev_parts(cf, 1, 4, 1e-6)
 
 
+def test_kashaev_enumeration_cap():
+    # q_4 = 5613 is within the cap but the prefix logs run to q_5 - 1 > 2^21
+    cf, table = _make([2, 400, 2, 3, 374])
+    assert table.q(4) <= ENUM_CAP < table.q(5)
+    with pytest.raises(EnumerationCapError):
+        verify._kashaev_parts(cf, 1, 4, frozen.KASHAEV_FACTOR_A)
+
+
 # -- renormalized tail blocks -------------------------------------------------------
 
 
@@ -257,7 +266,7 @@ def test_oscillation_decreases_with_level():
 
 def test_oscillation_cap():
     with pytest.raises(EnumerationCapError):
-        verify.oscillation(CFExpansion.preset("e-2"), 4, qcap=2 * 10**5)
+        verify.oscillation(CFExpansion.preset("e-2"), 4, qcap=ENUM_CAP + 1)
 
 
 # -- value-model scan ---------------------------------------------------------------
