@@ -168,20 +168,15 @@ def _write_csv(path: str | None, layout: tuple[str, str], rows) -> None:
 
 
 def parse_x(text: str) -> Fraction:
-    """A rational in (0,1)-foldable form: 'p/q', a decimal, or 'cf:a1,a2,...'."""
+    """'p/q', a decimal or 'cf:a1,a2,...', each read by cfrac.parse_alpha."""
     if text in PRESETS:
         raise PrecondError(
             f"preset {text!r} denotes an irrational; eval needs a rational"
         )
-    if text.startswith("cf:"):
-        cf = cfrac.parse_alpha(text)
-        if not cf.is_finite:
-            raise PrecondError(f"{text!r} is an infinite expansion; eval needs a rational")
-        return cf.value()
-    try:
-        r = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PrecondError(f"cannot parse {text!r} as a rational") from exc
+    cf = cfrac.parse_alpha(text)
+    if not cf.is_finite:
+        raise PrecondError(f"{text!r} is an infinite expansion; eval needs a rational")
+    r = cf.value()
     if r == 0:
         raise PrecondError("h is undefined at 0")
     return r

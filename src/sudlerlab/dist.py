@@ -26,6 +26,10 @@ coarser rule on the same panels guards its convergence.  The CDF grid is
 fixed (StableLaw.grid_lo, grid_hi, grid_step), and the right tail beyond it
 uses 1 - F(y) ~ (2/pi)/y.  `ks_compare` takes a sample in any order, as a
 plain array, and measures its Kolmogorov-Smirnov distance from the law.
+
+`sweep` merges the rows of q = 2..N in q order, so F_N comes out in (q, p)
+order with no sort; `_h_rows` reads h from those rows for `estimate_D` and
+for the th3 suite of sudlerlab.verify.
 """
 
 from __future__ import annotations
@@ -276,6 +280,7 @@ def ks_compare(samples, law: StableLaw) -> float:
 _SWEEP_DTYPE = [
     ("p", np.int64), ("q", np.int64), ("sum_a", np.int64), ("logJ", np.float64)
 ]
+_SWEEP_CHUNK = 8  # denominators per task when sweep runs in worker processes
 
 
 def _partial_quotient_sums(q: int, ps: np.ndarray) -> np.ndarray:
@@ -309,32 +314,36 @@ def _farey_row(q: int) -> np.ndarray:
     return rows
 
 
-def _sweep_block(args) -> np.ndarray:
-    N, offset, stride = args
-    return np.concatenate(
-        [np.empty(0, dtype=_SWEEP_DTYPE)]
-        + [_farey_row(q) for q in range(2 + offset, N + 1, stride)]
-    )
-
-
 def sweep(N: int, threads: int = 1) -> np.ndarray:
     """Per-fraction sweep over F_N: (p, q, sum of partial quotients, log J).
 
-    Returns a structured array sorted by (q, p); the merge order is
-    deterministic regardless of worker count.  Each denominator q costs one
-    table of about q/2 sines and a gather of q - 1 residues per fraction with
-    p < q/2: about N^2/4 sines and (1/pi^2) N^3 gathers in total.
+    An ordered map of _farey_row over q = 2..N (a few q per worker task when
+    threads > 1): the rows are in (q, p) order, with no sort, whatever the
+    worker count.  Each denominator q costs one table of about q/2 sines and
+    a gather of q - 1 residues per fraction with p < q/2: about N^2/4 sines
+    and (1/pi^2) N^3 gathers in total.
     """
     if N < 2:
         raise PrecondError(f"need N >= 2, got {N}")
+    qs = range(2, N + 1)
     if threads <= 1:
-        out = _sweep_block((N, 0, 1))
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            out = np.concatenate(
-                list(pool.map(_sweep_block, [(N, k, threads) for k in range(threads)]))
-            )
-    return out[np.lexsort((out["p"], out["q"]))]
+        return np.concatenate(list(map(_farey_row, qs)))
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(_farey_row, qs, chunksize=_SWEEP_CHUNK)))
+
+
+def _h_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = p/q and h(x), the floats of h_eval, on the (q, p)-ordered rows of F_N.
+
+    J is 1-periodic, so J(q/p) = J((q mod p)/p): another row of F_N, found
+    by its (q, p) key, except J(1) = 1 at p = 1.
+    """
+    p, q, logJ = rows["p"], rows["q"], rows["logJ"]
+    base = q[-1] + 1  # N + 1 exceeds every p
+    key = q * base + p
+    logJ_inv = logJ[np.searchsorted(key, p * base + q % p)]
+    logJ_inv[p == 1] = 0.0
+    return p / q, logJ - logJ_inv
 
 
 def estimate_D(Ncap: int) -> float:
@@ -343,27 +352,22 @@ def estimate_D(Ncap: int) -> float:
     D = (2 gamma - 2 log(6/pi))/pi + (4/Vol) int_0^1 psi*(x)/(1+x) dx,
     with gamma Euler's constant and the integral taken midpoint-weighted
     over the sorted sample (endpoints 0 and 1 bound the first and last
-    cells).  Densifying the sample is the caller's sensitivity knob.
+    cells), with h read from the rows of sweep(Ncap).  Densifying the sample
+    is the caller's sensitivity knob.
     """
-    return _D_from_rows(_sweep_block((Ncap, 0, 1)), Ncap)
+    return _D_from_rows(sweep(Ncap), Ncap)
 
 
 def _D_from_rows(rows: np.ndarray, Ncap: int) -> float:
-    """estimate_D(Ncap) from the (q, p)-sorted sweep rows of F_Ncap.
+    """estimate_D(Ncap) from the (q, p)-ordered sweep rows of F_Ncap.
 
     `sweep(N)[sweep(N)["q"] <= Ncap]` holds the same rows for any N >= Ncap.
     """
     if Ncap < 50:
         raise PrecondError(f"need Ncap >= 50, got {Ncap}")
-    p, q, logJ = rows["p"], rows["q"], rows["logJ"]
-    # J is 1-periodic, so J(q/p) = J((q mod p)/p): another row of F_Ncap,
-    # found by its (q, p) key, except J(1) = 1 at p = 1
-    key = q * (Ncap + 1) + p
-    logJ_inv = logJ[np.searchsorted(key, p * (Ncap + 1) + q % p)]
-    logJ_inv[p == 1] = 0.0
-    x = p / q
+    x, h = _h_rows(rows)
     # h(x) + (Vol/2 pi)(x - 1/x) with the operations of h_eval
-    psi_star = (logJ - logJ_inv) + vol_41() / (2 * math.pi) * (x - 1 / x)
+    psi_star = h + vol_41() / (2 * math.pi) * (x - 1 / x)
     order = np.argsort(x)
     xs = x[order]
     vals = psi_star[order] / (1.0 + xs)

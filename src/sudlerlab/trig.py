@@ -211,10 +211,16 @@ def _residues(P: int, Q: int, m: int, off: int = 0) -> np.ndarray:
     return (n * P + off) % Q
 
 
+def _ratios(r: np.ndarray, Q: int) -> np.ndarray:
+    """r/Q as float64, each rounded once, for exact residues 0 <= r < Q."""
+    if Q > 1 << 53:  # an int64 r would round on its way to a double
+        r = r.astype(object)
+    return np.asarray(r / Q, dtype=np.float64)
+
+
 def _logf_residues(r: np.ndarray, Q: int) -> np.ndarray:
     """log f(r/Q) for exact nonzero residues r mod Q, reflected into (0, 1/2]."""
-    rm = np.minimum(r, Q - r)
-    return np.log(2.0 * np.sin(np.pi * np.asarray(rm / Q, dtype=np.float64)))
+    return np.log(2.0 * np.sin(np.pi * _ratios(np.minimum(r, Q - r), Q)))
 
 
 def _shift_residues(alpha, x, N: int) -> tuple[np.ndarray, int]:
@@ -299,15 +305,14 @@ def epsilon_vector_primed(rep: OstrowskiRep, tail_table: ConvergentTable) -> tup
     return tuple(eps)
 
 
-def product_form_eval(rep: OstrowskiRep, table: ConvergentTable | None = None) -> float:
-    """log P_N(alpha) assembled from the digit-wise product form.
+def product_form_eval(rep: OstrowskiRep) -> float:
+    """log P_N(alpha) assembled from the digit-wise product form over rep.table.
 
     P_N = prod_l prod_{b < b_l} P_{q_l}(alpha, (-1)^l (b q_l dist_l + eps_l)/q_l),
     every shift an exact rational.  Must agree with the direct product; the
     all-zero digit string gives the empty product, log 1 = 0.
     """
-    if table is None:
-        table = rep.table
+    table = rep.table
     eps = epsilon_vector(rep, table)
     alpha = table.alpha_exact
     acc = []
@@ -394,7 +399,7 @@ def cotangent_sum(alpha, x, N: int) -> float:
     n = _first_zero(res)
     if n:
         raise PoleError(f"cot pole at n={n}", n=n)
-    return math.fsum(1.0 / np.tan(np.pi * np.asarray(res / den, dtype=np.float64)))
+    return math.fsum(1.0 / np.tan(np.pi * _ratios(res, den)))
 
 
 def cotangent_V(ell: int, x: float, table: ConvergentTable) -> float:

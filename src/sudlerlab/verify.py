@@ -8,6 +8,9 @@ function (its sides and hypothesis gates); a suite driver sweeps a fixed
 corpus through it and writes the envelope into per-case CSV report rows
 (check_id, case_id, lhs, rhs, margin, passed).
 
+The th3 suite reads h over F_Ncap from the rows of sudlerlab.dist.sweep:
+the floats h_eval gives, one batched Jones call per denominator.
+
 Margins are oriented so that margin >= 0 means the case passes; merged
 reports take the worst (minimum) margin of each check_id.  A pass/fail flag
 row (margin +1 or -1) has a check_id of its own, so it never stands in for
@@ -36,6 +39,7 @@ from sudlerlab.cfrac import (
     ostrowski_encode,
     rationals_in_interval,
 )
+from sudlerlab.dist import _h_rows, sweep
 from sudlerlab.errors import EnumerationCapError, PrecondError
 from sudlerlab.jones import h_eval, vol_41, _shifted_J_logmag
 from sudlerlab.trig import (
@@ -374,33 +378,23 @@ def oscillation(cf: CFExpansion, k: int, qcap: int = QCAP) -> tuple[float, float
 
 
 def _th3_sweep(Ncap: int):
-    from sudlerlab.dist import farey_enumerate
-
-    vol = vol_41()
-    sup_ratio = 0.0
-    sup_psi = 0.0
-    count = 0
-    for r in farey_enumerate(Ncap):
-        hv = h_eval(r)
-        x = float(r)
-        ratio = abs(hv.h - vol / (2 * math.pi * x)) / (1.0 + abs(math.log(x)))
-        sup_ratio = max(sup_ratio, ratio)
-        sup_psi = max(sup_psi, abs(hv.psi))
-        count += 1
-    return sup_ratio, sup_psi, count
+    """(sup of the th3 ratio, sup |psi|, count) over F_Ncap, h from the sweep rows."""
+    x, h = _h_rows(sweep(Ncap))
+    # math.log as h_eval takes it: np.log differs from it in the last bit at some x
+    log_x = np.array([math.log(v) for v in x.tolist()])
+    model = vol_41() / (2 * math.pi * x)
+    ratio = np.abs(h - model) / (1.0 + np.abs(log_x))
+    psi = h - model + 1.5 * log_x
+    return float(ratio.max()), float(np.abs(psi).max()), x.size
 
 
 # -- deterministic corpora ----------------------------------------------------------
 
 
-def _random_cf(rng, L: int, big_at: int | None = None, big: int = 0,
-               small_hi: int = 6, a1_hi: int | None = None) -> CFExpansion:
-    """Random finite expansion with small quotients, optionally one large one."""
+def _random_cf(rng, L: int, big_at: int, big: int, small_hi: int) -> CFExpansion:
+    """Random finite expansion: quotients in 1..small_hi, a_big_at = big."""
     digits = [int(rng.integers(1, small_hi + 1)) for _ in range(L)]
-    if a1_hi is not None:
-        digits[0] = int(rng.integers(1, a1_hi + 1))
-    if big_at is not None:
-        digits[big_at - 1] = big
+    digits[big_at - 1] = big
     if digits[-1] == 1:
         digits[-1] = 2
     return CFExpansion.from_partial_quotients(0, digits)
@@ -626,7 +620,7 @@ def identity_cases(seed: int = 0) -> list[CheckCase]:
         worst = max(worst, err)
         N = int(rng.integers(0, q))
         rep = ostrowski_encode(N, table)
-        got = product_form_eval(rep, table)
+        got = product_form_eval(rep)
         worst = max(worst, abs(got - float(mags[N])) / (1 + abs(float(mags[N]))))
     cases.append(_case("product_form", "random_sweep", worst, 1e-9, ge=False))
     # explicit single-period formula vs direct shifted product

@@ -14,7 +14,9 @@ import pytest
 
 from sudlerlab import frozen, verify
 from sudlerlab.cfrac import CFExpansion, OstrowskiRep, cf_tail, convergents, ostrowski_encode
+from sudlerlab.dist import farey_enumerate
 from sudlerlab.errors import EnumerationCapError, PrecondError
+from sudlerlab.jones import h_eval, vol_41
 from sudlerlab.trig import ENUM_CAP
 
 
@@ -280,6 +282,27 @@ def test_th3_cases_within_frozen_bound():
     assert sup.lhs <= frozen.TH3_C
     sup_ratio, _, count = verify._th3_sweep(60)
     assert count > 100 and sup.lhs == sup_ratio
+
+
+def loop_th3_sweep(Ncap: int):
+    """One h_eval per Farey fraction: the oracle for the batched th3 sweep."""
+    vol = vol_41()
+    sup_ratio = 0.0
+    sup_psi = 0.0
+    count = 0
+    for r in farey_enumerate(Ncap):
+        hv = h_eval(r)
+        x = float(r)
+        ratio = abs(hv.h - vol / (2 * math.pi * x)) / (1.0 + abs(math.log(x)))
+        sup_ratio = max(sup_ratio, ratio)
+        sup_psi = max(sup_psi, abs(hv.psi))
+        count += 1
+    return sup_ratio, sup_psi, count
+
+
+@pytest.mark.parametrize("Ncap", [2, 3, 60, 200])
+def test_th3_sweep_equals_h_eval_loop(Ncap):
+    assert verify._th3_sweep(Ncap) == loop_th3_sweep(Ncap)
 
 
 # -- suite plumbing -----------------------------------------------------------------
