@@ -1,5 +1,8 @@
 """Command-line front end: eval, scan, verify, and dist subcommands.
 
+`dist` and `scan` without `--near` read one dist.sweep table of F_N, with h
+from dist._h_rows; each opens its outputs first, so a bad path fails before
+the sweep.  `scan --near` calls h_eval once per fraction of its window.
 Outputs are deterministic: CSV files carry a header row, '.' decimals and
 17 significant digits, and rerunning a command with the same config and
 inputs reproduces the bytes exactly.  Each CSV output states its header and
@@ -30,9 +33,10 @@ from sudlerlab.cfrac import cf_expand
 from sudlerlab.dist import (
     _D_from_rows,
     _default_law,
+    _h_rows,
+    _psi_rows,
     _stat_logJ_from_mag,
     _stat_pq_from_sum,
-    farey_enumerate,
     ks_compare,
     sweep,
 )
@@ -104,14 +108,9 @@ def load_config(args: argparse.Namespace) -> Config:
     if path:
         cfg = replace(cfg, **_config_from_file(path))
     overrides = {
-        name: getattr(args, flag)
-        for name, flag in [
-            ("qcap", "qcap"),
-            ("Ncap", "ncap"),
-            ("threads", "threads"),
-            ("output_path", "out"),
-        ]
-        if getattr(args, flag, None) is not None
+        f.name: getattr(args, f.name)
+        for f in fields(Config)
+        if getattr(args, f.name, None) is not None
     }
     return replace(cfg, **overrides).validate()
 
@@ -159,11 +158,6 @@ def _array_rows(*columns):
         yield from zip(*[c[i : i + step].tolist() for c in columns])
 
 
-def _write_csv(path: str | None, layout: tuple[str, str], rows) -> None:
-    with _open_out(path) as out:
-        _write_rows(out, layout, rows)
-
-
 # -- argument parsing ----------------------------------------------------------------
 
 
@@ -200,18 +194,16 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     return 0
 
 
-def _scan_fractions(qmax: int, near: float | None, radius: float | None):
-    """The fractions of F_qmax that `scan` writes, ascending by q then p.
+def _scan_fractions(qmax: int, near: float, radius: float) -> list[Fraction]:
+    """The fractions of F_qmax in a `scan --near` window, ascending by q then p.
 
-    A window keeps r unless abs(float(r) - near) > radius, exactly as a filter
-    over all of F_qmax would, but only the rationals of [near - radius - pad,
-    near + radius + pad] are walked (Stern-Brocot descent).  For r in [0, 1]
-    the float test errs from |r - near| by less than 2^-51 (1 + |near|), so
-    the pad 2^-50 (1 + |near|) loses no kept fraction.  near and radius are
-    finite: cmd_scan rejects any other.
+    The window keeps r unless abs(float(r) - near) > radius, exactly as a
+    filter over all of F_qmax would, but only the rationals of [near - radius
+    - pad, near + radius + pad] are walked (Stern-Brocot descent).  For r in
+    [0, 1] the float test errs from |r - near| by less than 2^-51 (1 + |near|),
+    so the pad 2^-50 (1 + |near|) loses no kept fraction.  near and radius
+    are finite: cmd_scan rejects any other.
     """
-    if near is None:
-        return farey_enumerate(qmax)
     c, w = Fraction(near), Fraction(radius)
     pad = (1 + abs(c)) / 2**50
     lo, hi = max(Fraction(0), c - w - pad), min(Fraction(1), c + w + pad)
@@ -231,16 +223,20 @@ def cmd_scan(args: argparse.Namespace, cfg: Config) -> int:
         raise PrecondError("--near and --radius go together")
     if args.near is not None and not (math.isfinite(args.near) and math.isfinite(args.radius)):
         raise PrecondError(f"--near and --radius must be finite, got {args.near}, {args.radius}")
-    vol = vol_41()
-
-    def rows():
-        for r in _scan_fractions(args.qmax, args.near, args.radius):
-            x = float(r)
-            hv = h_eval(r)
-            model = vol / (2.0 * math.pi * x) - 1.5 * math.log(x)
-            yield (r.numerator, r.denominator, x, hv.h, hv.psi, model)
-
-    _write_csv(cfg.output_path, SCAN_CSV, rows())
+    with _open_out(cfg.output_path) as out:
+        if args.near is None:
+            table = sweep(args.qmax, threads=cfg.threads)
+            p, q = table["p"], table["q"]
+            x, h = _h_rows(table)
+        else:
+            window = _scan_fractions(args.qmax, args.near, args.radius)
+            p = np.array([r.numerator for r in window], dtype=np.int64)
+            q = np.array([r.denominator for r in window], dtype=np.int64)
+            x = p / q
+            h = np.array([h_eval(r).h for r in window], dtype=np.float64)
+        log_x, psi = _psi_rows(x, h)
+        model = vol_41() / (2.0 * math.pi * x) - 1.5 * log_x
+        _write_rows(out, SCAN_CSV, _array_rows(p, q, x, h, psi, model))
     return 0
 
 
@@ -251,11 +247,9 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     elif args.suite == "th3":
         kwargs["Ncap"] = cfg.Ncap
     cases = verify.run_suite(args.suite, **kwargs)
-    _write_csv(
-        cfg.output_path,
-        VERIFY_CSV,
-        ((c.check_id, c.case_id, c.lhs, c.rhs, c.margin, c.passed) for c in cases),
-    )
+    rows = ((c.check_id, c.case_id, c.lhs, c.rhs, c.margin, c.passed) for c in cases)
+    with _open_out(cfg.output_path) as out:
+        _write_rows(out, VERIFY_CSV, rows)
     failed = [c for c in cases if not c.passed]
     if failed:
         print(f"suite {args.suite}: {len(failed)}/{len(cases)} cases failed",
@@ -307,9 +301,10 @@ def _add_common_flags(ap: argparse.ArgumentParser, subcommand: bool) -> None:
     # copies default to SUPPRESS so they never clobber a prefix value
     kw = {"default": argparse.SUPPRESS} if subcommand else {}
     ap.add_argument("--qcap", type=int, **kw)
-    ap.add_argument("--ncap", type=int, **kw)
+    ap.add_argument("--ncap", type=int, dest="Ncap", **kw)
     ap.add_argument("--threads", type=int, **kw)
-    ap.add_argument("--out", help="output CSV path (default: stdout)", **kw)
+    ap.add_argument("--out", dest="output_path", metavar="OUT",
+                    help="output CSV path (default: stdout)", **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,8 +28,8 @@ uses 1 - F(y) ~ (2/pi)/y.  `ks_compare` takes a sample in any order, as a
 plain array, and measures its Kolmogorov-Smirnov distance from the law.
 
 `sweep` merges the rows of q = 2..N in q order, so F_N comes out in (q, p)
-order with no sort; `_h_rows` reads h from those rows for `estimate_D` and
-for the th3 suite of sudlerlab.verify.
+order with no sort; `_h_rows` reads h from those rows for `estimate_D`, for
+the th3 suite of sudlerlab.verify and for `scan` in sudlerlab.cli.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from typing import Iterator
 import numpy as np
 
 from sudlerlab.cfrac import cf_expand
-from sudlerlab.errors import PrecondError, QuadratureError
+from sudlerlab.errors import EnumerationCapError, PrecondError, QuadratureError
 from sudlerlab.jones import _logJ_rows, jones_J, vol_41
+from sudlerlab.trig import ENUM_CAP
 
 __all__ = [
     "StableLaw",
@@ -283,16 +284,15 @@ _SWEEP_DTYPE = [
 _SWEEP_CHUNK = 8  # denominators per task when sweep runs in worker processes
 
 
-def _partial_quotient_sums(q: int, ps: np.ndarray) -> np.ndarray:
-    """a_1 + ... + a_L of p/q for each p in ps, by Euclid's algorithm on all p at once."""
-    x = np.full_like(ps, q)
-    y = ps.copy()
+def _partial_quotient_sums(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """a_1 + ... + a_L of each p/q, by Euclid's algorithm on all rows at once."""
     total = np.zeros_like(ps)
-    while y.any():
-        live = y > 0
-        quo, rem = np.divmod(x, np.where(live, y, 1))
-        total += np.where(live, quo, 0)
-        x, y = y, np.where(live, rem, 0)
+    todo, x, y = np.arange(ps.size), qs, ps
+    while todo.size:  # the rows whose expansion is unfinished, and their x and y
+        quo, rem = np.divmod(x, y)
+        total[todo] += quo
+        live = rem > 0
+        todo, x, y = todo[live], y[live], rem[live]
     return total
 
 
@@ -300,7 +300,7 @@ def _farey_row(q: int) -> np.ndarray:
     """Sweep rows of the reduced p/q in (0, 1) with denominator q, ascending in p.
 
     The Jones kernel runs on p <= q/2 only: n (q - p) = -n p mod q, so the
-    row of q - p gathers the same factors as the row of p.
+    row of q - p gathers the same factors as the row of p; sweep fills sum_a.
     """
     lo = np.arange(1, q // 2 + 1, dtype=np.int64)
     lo = lo[np.gcd(lo, q) == 1]
@@ -309,7 +309,6 @@ def _farey_row(q: int) -> np.ndarray:
     rows = np.empty(lo.size + k, dtype=_SWEEP_DTYPE)
     rows["p"] = np.concatenate([lo, q - lo[:k][::-1]])
     rows["q"] = q
-    rows["sum_a"] = _partial_quotient_sums(q, rows["p"])
     rows["logJ"] = np.concatenate([logJ, logJ[:k][::-1]])
     return rows
 
@@ -319,17 +318,24 @@ def sweep(N: int, threads: int = 1) -> np.ndarray:
 
     An ordered map of _farey_row over q = 2..N (a few q per worker task when
     threads > 1): the rows are in (q, p) order, with no sort, whatever the
-    worker count.  Each denominator q costs one table of about q/2 sines and
-    a gather of q - 1 residues per fraction with p < q/2: about N^2/4 sines
-    and (1/pi^2) N^3 gathers in total.
+    worker count; Euclid then runs once on the whole table for sum_a.  Each
+    denominator q costs one table of about q/2 sines and a gather of q - 1
+    residues per fraction with p < q/2: about N^2/4 sines and (1/pi^2) N^3
+    gathers in total.  Raises EnumerationCapError, before any row is
+    computed, when N exceeds trig.ENUM_CAP.
     """
     if N < 2:
         raise PrecondError(f"need N >= 2, got {N}")
+    if N > ENUM_CAP:
+        raise EnumerationCapError(f"N {N} exceeds cap {ENUM_CAP}")
     qs = range(2, N + 1)
     if threads <= 1:
-        return np.concatenate(list(map(_farey_row, qs)))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(_farey_row, qs, chunksize=_SWEEP_CHUNK)))
+        rows = np.concatenate(list(map(_farey_row, qs)))
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            rows = np.concatenate(list(pool.map(_farey_row, qs, chunksize=_SWEEP_CHUNK)))
+    rows["sum_a"] = _partial_quotient_sums(rows["p"], rows["q"])
+    return rows
 
 
 def _h_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,6 +350,15 @@ def _h_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     logJ_inv = logJ[np.searchsorted(key, p * base + q % p)]
     logJ_inv[p == 1] = 0.0
     return p / q, logJ - logJ_inv
+
+
+def _psi_rows(x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log x and psi = h - Vol/(2 pi x) + (3/2) log x with the operations of h_eval.
+
+    log x is math.log per element: np.log differs from it in the last bit at some x.
+    """
+    log_x = np.array([math.log(v) for v in x.tolist()])
+    return log_x, h - vol_41() / (2 * math.pi * x) + 1.5 * log_x
 
 
 def estimate_D(Ncap: int) -> float:

@@ -32,6 +32,7 @@ from sudlerlab.cfrac import (
     CFExpansion,
     ConvergentTable,
     OstrowskiRep,
+    cf_expand,
     cf_tail,
     convergents,
     interval_Ik,
@@ -39,9 +40,9 @@ from sudlerlab.cfrac import (
     ostrowski_encode,
     rationals_in_interval,
 )
-from sudlerlab.dist import _h_rows, sweep
+from sudlerlab.dist import _h_rows, _psi_rows, sweep
 from sudlerlab.errors import EnumerationCapError, PrecondError
-from sudlerlab.jones import h_eval, vol_41, _shifted_J_logmag
+from sudlerlab.jones import h_eval, telescoping_logJ, vol_41, _shifted_J_logmag
 from sudlerlab.trig import (
     ENUM_CAP,
     _logsumexp,
@@ -49,10 +50,12 @@ from sudlerlab.trig import (
     cotangent_V,
     epsilon_vector,
     epsilon_vector_primed,
+    explicit_formula_eval,
     kubert_rhs,
     log_f,
     product_form_eval,
     product_form_logs,
+    ql_diff_check,
     shifted_sudler,
     sudler_prefix_logmags,
 )
@@ -380,11 +383,8 @@ def oscillation(cf: CFExpansion, k: int, qcap: int = QCAP) -> tuple[float, float
 def _th3_sweep(Ncap: int):
     """(sup of the th3 ratio, sup |psi|, count) over F_Ncap, h from the sweep rows."""
     x, h = _h_rows(sweep(Ncap))
-    # math.log as h_eval takes it: np.log differs from it in the last bit at some x
-    log_x = np.array([math.log(v) for v in x.tolist()])
-    model = vol_41() / (2 * math.pi * x)
-    ratio = np.abs(h - model) / (1.0 + np.abs(log_x))
-    psi = h - model + 1.5 * log_x
+    log_x, psi = _psi_rows(x, h)
+    ratio = np.abs(h - vol_41() / (2 * math.pi * x)) / (1.0 + np.abs(log_x))
     return float(ratio.max()), float(np.abs(psi).max()), x.size
 
 
@@ -536,8 +536,6 @@ def factor_cases(seed: int = 0) -> list[CheckCase]:
 
 def tail_cases(seed: int = 0) -> list[CheckCase]:
     """150 random rationals, q < 5000, at all admissible levels, plus a large-a_1 one."""
-    from sudlerlab.cfrac import cf_expand
-
     rng = np.random.default_rng(seed)
     cases = []
     made = 0
@@ -582,10 +580,6 @@ def tail_cases(seed: int = 0) -> list[CheckCase]:
 
 def identity_cases(seed: int = 0) -> list[CheckCase]:
     """Exact identities: Kubert, product form, explicit formula, telescoping."""
-    from sudlerlab.cfrac import cf_expand
-    from sudlerlab.jones import telescoping_logJ
-    from sudlerlab.trig import explicit_formula_eval
-
     rng = np.random.default_rng(seed)
     cases = []
     # Kubert functional equation on random (p/q, x)
@@ -658,9 +652,6 @@ def identity_cases(seed: int = 0) -> list[CheckCase]:
 
 def epsilon_cases(seed: int = 0) -> list[CheckCase]:
     """Exact-rational bounds on the epsilon vectors and the q_l difference."""
-    from sudlerlab.cfrac import cf_expand
-    from sudlerlab.trig import ql_diff_check
-
     rng = np.random.default_rng(seed)
     cases = []
     worst = math.inf
@@ -723,8 +714,6 @@ def epsilon_cases(seed: int = 0) -> list[CheckCase]:
 
 def cotangent_cases(seed: int = 0) -> list[CheckCase]:
     """Shifted cotangent sums and the V_l kernel against their envelopes."""
-    from sudlerlab.cfrac import cf_expand
-
     rng = np.random.default_rng(seed)
     cases = []
     worst_irr = 0.0

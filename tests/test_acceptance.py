@@ -277,13 +277,14 @@ def _farey_sample_stat_pq(N: int, n: int, seed: int) -> list[float]:
 def _farey_sum_a(N: int) -> tuple[np.ndarray, np.ndarray]:
     """q and the sum of partial quotients of every p/q in F_N, in the (q, p)
     order of dist.sweep, by Euclid alone: the gate reads no Jones value."""
-    qs, sums = [], []
+    qs, ps = [], []
     for q in range(2, N + 1):
-        ps = np.arange(1, q, dtype=np.int64)
-        ps = ps[np.gcd(ps, q) == 1]
-        qs.append(np.full(ps.size, q))
-        sums.append(dist._partial_quotient_sums(q, ps))
-    return np.concatenate(qs), np.concatenate(sums)
+        p = np.arange(1, q, dtype=np.int64)
+        p = p[np.gcd(p, q) == 1]
+        qs.append(np.full(p.size, q, dtype=np.int64))
+        ps.append(p)
+    qs = np.concatenate(qs)
+    return qs, dist._partial_quotient_sums(np.concatenate(ps), qs)
 
 
 def test_gate_10_partial_quotient_statistic_vs_stable_law():

@@ -288,6 +288,35 @@ def test_scan_model_column(tmp_path, capsys):
         assert float(r["h_model"]) == pytest.approx(want, abs=1e-12)
 
 
+def _oracle_scan(qmax):
+    """The scan CSV over all of F_qmax from one h_eval per row."""
+    from sudlerlab.jones import h_eval, vol_41
+
+    rows = []
+    for r in farey_enumerate(qmax):
+        x, hv = float(r), h_eval(r)
+        model = vol_41() / (2.0 * math.pi * x) - 1.5 * math.log(x)
+        rows.append((r.numerator, r.denominator, x, hv.h, hv.psi, model))
+    out = io.StringIO()
+    _oracle_write_rows(out, cli.SCAN_CSV, rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("qmax", [2, 3, 80])
+def test_scan_from_sweep_matches_h_eval_oracle(qmax, tmp_path, capsys):
+    path = tmp_path / "scan.csv"
+    rc, _, _ = run(["--out", str(path), "scan", "--qmax", str(qmax)], capsys)
+    assert rc == 0
+    assert path.read_bytes() == _oracle_scan(qmax).encode()
+
+
+def test_scan_threads_agree(tmp_path, capsys):
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    run(["--out", str(one), "scan", "--qmax", "120", "--threads", "1"], capsys)
+    run(["--out", str(two), "scan", "--qmax", "120", "--threads", "2"], capsys)
+    assert one.read_bytes() == two.read_bytes()
+
+
 def test_scan_requires_radius_with_near(capsys):
     rc, _, _ = run(["scan", "--qmax", "40", "--near", "0.5"], capsys)
     assert rc == 2
@@ -421,6 +450,16 @@ def test_dist_unwritable_output_fails_before_sweep(flag, tmp_path, capsys, monke
     assert rc == 2 and err.startswith("error: cannot write")
 
 
+def test_scan_unwritable_output_fails_before_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output path was opened")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    path = tmp_path / "no_such_dir" / "x.csv"
+    rc, _, err = run(["scan", "--qmax", "50", "--out", str(path)], capsys)
+    assert rc == 2 and err.startswith("error: cannot write")
+
+
 @pytest.mark.parametrize("exc", [ZeroFactorError, PoleError])
 def test_arithmetic_errors_exit_2(exc, capsys, monkeypatch):
     def hit(r):
@@ -440,6 +479,17 @@ def test_eval_denominator_past_enum_cap_exits_4(x, capsys):
 
 def test_continuity_qcap_past_enum_cap_exits_4(capsys):
     rc, _, err = run(["verify", "--suite", "continuity", "--qcap", "2097153"], capsys)
+    assert rc == 4 and err.startswith("resource cap:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--N", "2097153"],
+    ["verify", "--suite", "th3", "--ncap", "2097153"],
+    ["scan", "--qmax", "2097153"],
+], ids=["dist", "th3", "scan"])
+def test_sweep_past_enum_cap_exits_4(argv, capsys):
+    # N = 2^21 + 1: refused before the first row of the sweep
+    rc, _, err = run(argv, capsys)
     assert rc == 4 and err.startswith("resource cap:")
 
 

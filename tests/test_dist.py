@@ -236,7 +236,7 @@ def test_partial_quotient_sums_match_cf_expand(q):
     for p in ps.tolist():
         cf = cf_expand(Fraction(p, q))
         want.append(sum(cf.partials(cf.L)))
-    assert _partial_quotient_sums(q, ps).tolist() == want
+    assert _partial_quotient_sums(ps, np.full_like(ps, q)).tolist() == want
 
 
 def test_sweep_threads_agree():
