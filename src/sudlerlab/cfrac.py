@@ -27,8 +27,6 @@ import numpy as np
 
 from .errors import PrecondError
 
-Rational = Fraction
-
 GUARD_DEPTH = 8
 
 
@@ -60,10 +58,8 @@ class CFExpansion:
         preperiod: Sequence[int] | None = None,
         period: Sequence[int] | None = None,
         digit_fn: Callable[[int], int] | None = None,
-        name: str | None = None,
     ):
         self.a0 = int(a0)
-        self.name = name
         self._digits: tuple[int, ...] | None = None
         self._pre: tuple[int, ...] = ()
         self._period: tuple[int, ...] = ()
@@ -104,7 +100,7 @@ class CFExpansion:
     def _from_checked(cls, a0: int, digits: tuple[int, ...]) -> "CFExpansion":
         """Finite expansion from digits already known to be ints >= 1."""
         cf = cls.__new__(cls)
-        cf.a0, cf.name, cf._fn = a0, None, None
+        cf.a0, cf._fn = a0, None
         cf._digits, cf._pre, cf._period = digits, (), ()
         return cf
 
@@ -197,9 +193,9 @@ def _e_minus_2_digit(ell: int) -> int:
 
 
 _PRESETS: dict[str, Callable[[], CFExpansion]] = {
-    "golden": lambda: CFExpansion(0, period=(1,), name="golden"),
-    "sqrt2inv": lambda: CFExpansion(0, preperiod=(1,), period=(2,), name="sqrt2inv"),
-    "e-2": lambda: CFExpansion(0, digit_fn=_e_minus_2_digit, name="e-2"),
+    "golden": lambda: CFExpansion(0, period=(1,)),
+    "sqrt2inv": lambda: CFExpansion(0, preperiod=(1,), period=(2,)),
+    "e-2": lambda: CFExpansion(0, digit_fn=_e_minus_2_digit),
 }
 
 _CF_LITERAL = re.compile(r"^cf:(?P<digits>[\d,]+?)(~period:(?P<period>[\d,]+))?$")
@@ -392,40 +388,6 @@ def ostrowski_digits(table: ConvergentTable, n: int) -> np.ndarray:
         if table.q(l) < n:
             np.divmod(rem, table.q(l), out=(digits[l], rem))
     return digits
-
-
-def ostrowski_decode(rep: OstrowskiRep) -> int:
-    return rep.value()
-
-
-def ostrowski_enumerate(table: ConvergentTable, K: int) -> Iterator[OstrowskiRep]:
-    """All digit vectors for N = 0, 1, ..., q_K - 1 in increasing order.
-
-    Odometer-style carry: incrementing b_0 and propagating, honouring the rule
-    that a digit at its maximum forces the digit below to zero.
-    """
-    if not 1 <= K <= table.depth:
-        raise PrecondError("need 1 <= K <= table depth")
-    amax = [table.partial(l + 1) for l in range(K)]
-    digits = [0] * K
-
-    def max_for(l: int) -> int:
-        if l + 1 < K and digits[l + 1] == amax[l + 1]:
-            return 0
-        return amax[l] - 1 if l == 0 else amax[l]
-
-    total = table.q(K)
-    for _ in range(total):
-        yield OstrowskiRep(digits, table)
-        l = 0
-        digits[0] += 1
-        while l < K and digits[l] > max_for(l):
-            digits[l] = 0
-            l += 1
-            if l < K:
-                digits[l] += 1
-    # odometer must finish exactly at the rollover point
-    assert all(d == 0 for d in digits)
 
 
 def cf_tail(cf: CFExpansion) -> CFExpansion:

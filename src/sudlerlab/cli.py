@@ -1,8 +1,10 @@
 """Command-line front end: eval, scan, verify, and dist subcommands.
 
 `dist` and `scan` without `--near` read one dist.sweep table of F_N, with h
-from dist._h_rows; each opens its outputs first, so a bad path fails before
-the sweep.  `scan --near` calls h_eval once per fraction of its window.
+from dist._h_rows; `scan --near` calls h_eval once per fraction of its
+window.  Every subcommand opens its output (`--out`, and `--report` for
+`dist`) before any evaluation, so a bad path fails at once; `eval` writes
+its record there too.
 Outputs are deterministic: CSV files carry a header row, '.' decimals and
 17 significant digits, and rerunning a command with the same config and
 inputs reproduces the bytes exactly.  Each CSV output states its header and
@@ -181,16 +183,13 @@ def parse_x(text: str) -> Fraction:
 
 def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     r = parse_x(args.x)
-    hv = h_eval(r)
-    cf = cf_expand(hv.x)
-    digits = ", ".join(str(a) for a in cf.partials(cf.L))
-    print(f"x = {hv.x}")
-    print(f"q = {hv.x.denominator}")
-    print(f"cf = [{cf.a0}; {digits}]")
-    print(f"logJ = {_fmt(hv.logJ_x)}")
-    print(f"h = {_fmt(hv.h)}")
-    print(f"psi = {_fmt(hv.psi)}")
-    print(f"psi_star = {_fmt(hv.psi_star)}")
+    with _open_out(cfg.output_path) as out:
+        hv = h_eval(r)
+        cf = cf_expand(hv.x)
+        digits = ", ".join(str(a) for a in cf.partials(cf.L))
+        out.write(f"x = {hv.x}\nq = {hv.x.denominator}\ncf = [{cf.a0}; {digits}]\n"
+                  f"logJ = {_fmt(hv.logJ_x)}\nh = {_fmt(hv.h)}\n"
+                  f"psi = {_fmt(hv.psi)}\npsi_star = {_fmt(hv.psi_star)}\n")
     return 0
 
 
@@ -246,10 +245,10 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         kwargs["qcap"] = cfg.qcap
     elif args.suite == "th3":
         kwargs["Ncap"] = cfg.Ncap
-    cases = verify.run_suite(args.suite, **kwargs)
-    rows = ((c.check_id, c.case_id, c.lhs, c.rhs, c.margin, c.passed) for c in cases)
     with _open_out(cfg.output_path) as out:
-        _write_rows(out, VERIFY_CSV, rows)
+        cases = verify.run_suite(args.suite, **kwargs)
+        _write_rows(out, VERIFY_CSV, (
+            (c.check_id, c.case_id, c.lhs, c.rhs, c.margin, c.passed) for c in cases))
     failed = [c for c in cases if not c.passed]
     if failed:
         print(f"suite {args.suite}: {len(failed)}/{len(cases)} cases failed",

@@ -244,7 +244,9 @@ def m_k(cf: CFExpansion, k: int) -> float:
 
     Numerator runs over the convergent p_k/q_k with shift (-1)^k (5/6)/q_k,
     denominator over the first-digit-dropped convergent with the opposite
-    sign.  Depends only on the first k partial quotients.
+    sign.  Depends only on the first k partial quotients.  Raises
+    EnumerationCapError, before allocating, when a sum has more than
+    trig.ENUM_CAP terms (the cap of trig._residues).
     """
     if k < 1:
         raise PrecondError(f"need k >= 1, got {k}")

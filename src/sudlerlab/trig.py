@@ -56,8 +56,9 @@ LOG2 = math.log(2.0)
 # explicit_formula_eval decides the zero factors and poles of its float grid at this distance
 POLE_GUARD = 1e-13
 
-# the one resource cap: the prefix logs, the product form, the Jones sums and
-# verify's oscillation refuse, before allocating, to materialize more values
+# the one resource cap: _residues (so every exact residue walk), the prefix
+# logs, the Jones sums, verify's oscillation and dist.sweep refuse, before
+# allocating, to materialize more values
 ENUM_CAP = 1 << 21
 
 # exact values of log f on the small torus rationals that tests pin down
@@ -203,8 +204,11 @@ def _residues(P: int, Q: int, m: int, off: int = 0) -> np.ndarray:
     The array is int64 while m P + off (P and off reduced mod Q) and the sum
     of two residues stay below 2^63, and holds Python ints otherwise; either
     way the integers are the same.  Callers may add two residues and reduce
-    again in the returned dtype.
+    again in the returned dtype.  Raises EnumerationCapError, before anything
+    is allocated, when m exceeds ENUM_CAP.
     """
+    if m > ENUM_CAP:
+        raise EnumerationCapError(f"{m} residues exceed cap {ENUM_CAP}")
     P, off = P % Q, off % Q
     small = Q < 1 << 62 and m * P + off < 1 << 63
     n = np.arange(1, m + 1, dtype=np.int64 if small else object)
@@ -242,7 +246,8 @@ def shifted_sudler(alpha, x, N: int) -> float:
 
     alpha and x are exact rationals; the factors run over exact residues mod
     their common denominator, and an exactly vanishing factor raises
-    ZeroFactorError carrying the offending index n.
+    ZeroFactorError carrying the offending index n.  N > ENUM_CAP raises
+    EnumerationCapError before anything is allocated.
     """
     if N < 0:
         raise PrecondError(f"N must be >= 0, got {N}")
@@ -350,15 +355,13 @@ def product_form_logs(table: ConvergentTable, K: int) -> np.ndarray:
     ENUM_CAP.
     """
     qK = table.q(K)
-    if qK > ENUM_CAP:
-        raise EnumerationCapError(f"q_K = {qK} exceeds cap {ENUM_CAP}")
-    out = np.zeros(qK)
-    if K == 0:
-        return out
     Q = table.alpha_exact.denominator
     P = table.alpha_exact.numerator
     # every level reads a prefix of these: width * q_l < q_K
     base = _residues(P, Q, qK)
+    out = np.zeros(qK)
+    if K == 0:
+        return out
     t = np.zeros(1, dtype=base.dtype)
     M = np.zeros(1, dtype=np.int64)
     acc = np.zeros(1)
@@ -389,7 +392,8 @@ def cotangent_sum(alpha, x, N: int) -> float:
     """sum_{n=1..N} cot(pi (n alpha + x)) with compensated summation.
 
     alpha and x are exact rationals, so poles are detected exactly; the
-    offending index travels on the raised PoleError.
+    offending index travels on the raised PoleError.  N > ENUM_CAP raises
+    EnumerationCapError before anything is allocated.
     """
     if N < 0:
         raise PrecondError(f"N must be >= 0, got {N}")
@@ -417,9 +421,8 @@ def cotangent_V(ell: int, x: float, table: ConvergentTable) -> float:
     if q == 1:
         return 0.0
     d = float(table.dist(ell))
-    step = ((-1) ** ell * table.p(ell)) % q
+    r = _residues((-1) ** ell * table.p(ell), q, q - 1)
     n = np.arange(1, q, dtype=np.int64)
-    r = (n * step) % q
     weights = np.sin(np.pi * (n * (d / q)))
     cots = 1.0 / np.tan(np.pi * ((r + x) / q))
     return math.fsum(weights * cots)
@@ -451,8 +454,8 @@ def explicit_formula_eval(ell: int, x, table: ConvergentTable) -> float:
         return first + mid
     qd = float(q * d)
     zf = float(z)
+    res = _residues(table.q(ell - 1), q, q - 1)
     n = np.arange(1, q, dtype=np.int64)
-    res = (n * table.q(ell - 1)) % q
     y = (res / q - 0.5) * qd
     num = ((n - y - zf) / q) % 1.0
     den = ((n - zf) / q) % 1.0

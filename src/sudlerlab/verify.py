@@ -8,6 +8,10 @@ function (its sides and hypothesis gates); a suite driver sweeps a fixed
 corpus through it and writes the envelope into per-case CSV report rows
 (check_id, case_id, lhs, rhs, margin, passed).
 
+The random rationals of the identities, epsilon, cotangent and tail suites
+come from one corpus walk, `_coprime_tables`: seeded draws of reduced p/q,
+each yielded as its full-depth convergent table.
+
 The th3 suite reads h over F_Ncap from the rows of sudlerlab.dist.sweep:
 the floats h_eval gives, one batched Jones call per denominator.
 
@@ -19,11 +23,12 @@ a check's worst margin.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -312,7 +317,8 @@ def _tail_parts(table: ConvergentTable, tail_table: ConvergentTable,
 
     Returns (lhs, unit): lhs is the log of the product over b < b_ell(N) of
     shifted single-period factors at alpha over the same product at
-    alpha' = tail(alpha), exactly 0 for an empty block (b_ell = 0), and unit
+    alpha' = tail(alpha), each side one shifted product of b_ell periods,
+    exactly 0 for an empty block (b_ell = 0), and unit
     = s^(3/4)/q'_ell^(3/4) + log(a_1 + 1)/q'_ell.
     """
     L = table.depth
@@ -331,20 +337,15 @@ def _tail_parts(table: ConvergentTable, tail_table: ConvergentTable,
         qp_next = tail_table.q(ell)
         if not (a_next2 <= qp_next ** (1 / 100) or rep.digit(ell + 1) <= 0.99 * a_next2):
             raise PrecondError("tail hypothesis (ii) fails")
-    alpha = table.alpha_exact
-    alpha_p = tail_table.alpha_exact
-    d = table.dist(ell)
-    dp = tail_table.dist(ell - 1)
-    eps = epsilon_vector(rep, table)[ell]
-    eps_p = epsilon_vector_primed(rep, tail_table)[ell]
+    # block b sits at shift sh + b theta_l = sh + b q_l alpha (mod 1): it is
+    # factors b q_l + 1 .. (b + 1) q_l of one product at the b = 0 shift, and
+    # likewise at alpha' with q'_l and theta'_l
     sgn = (-1) ** ell
     q_ell = table.q(ell)
-    lhs = 0.0
-    for b in range(b_ell):
-        sh = Fraction(sgn * (b * q_ell * d + eps), q_ell)
-        sh_p = Fraction(-sgn * (b * qp_ell * dp + eps_p), qp_ell)
-        lhs += shifted_sudler(alpha, sh, q_ell)
-        lhs -= shifted_sudler(alpha_p, sh_p, qp_ell)
+    sh = Fraction(sgn * epsilon_vector(rep, table)[ell], q_ell)
+    sh_p = Fraction(-sgn * epsilon_vector_primed(rep, tail_table)[ell], qp_ell)
+    lhs = (shifted_sudler(table.alpha_exact, sh, b_ell * q_ell)
+           - shifted_sudler(tail_table.alpha_exact, sh_p, b_ell * qp_ell))
     s = sum(table.partial(m) for m in range(2, ell + 1))
     unit = s**0.75 / qp_ell**0.75 + math.log(a1 + 1) / qp_ell
     return lhs, unit
@@ -391,13 +392,32 @@ def _th3_sweep(Ncap: int):
 # -- deterministic corpora ----------------------------------------------------------
 
 
-def _random_cf(rng, L: int, big_at: int, big: int, small_hi: int) -> CFExpansion:
-    """Random finite expansion: quotients in 1..small_hi, a_big_at = big."""
+def _random_cf(rng, L: int, big_at: int, big: int, small_hi: int) -> ConvergentTable:
+    """Full-depth table of a random expansion: quotients in 1..small_hi, a_big_at = big."""
     digits = [int(rng.integers(1, small_hi + 1)) for _ in range(L)]
     digits[big_at - 1] = big
     if digits[-1] == 1:
         digits[-1] = 2
-    return CFExpansion.from_partial_quotients(0, digits)
+    return convergents(CFExpansion.from_partial_quotients(0, digits), L)
+
+
+def _coprime_tables(rng, tries: int | None, lo: int, hi: int,
+                    min_L: int) -> Iterator[ConvergentTable]:
+    """Full-depth tables of random reduced p/q, q in [lo, hi), p in [1, q).
+
+    Each of `tries` draws (no limit when None) takes q, then p, from rng and
+    skips a pair that is not coprime or whose expansion has fewer than min_L
+    quotients.  The generator is lazy, so the draws a suite makes between
+    two tables keep their place in the rng stream.
+    """
+    for _ in range(tries) if tries is not None else itertools.count():
+        q = int(rng.integers(lo, hi))
+        p = int(rng.integers(1, q))
+        if math.gcd(p, q) != 1:
+            continue
+        cf = cf_expand(Fraction(p, q))
+        if cf.L >= min_L:
+            yield convergents(cf, cf.L)
 
 
 def _random_digits(table: ConvergentTable, rng, overrides: dict | None = None) -> list[int]:
@@ -460,9 +480,8 @@ def local56_cases(seed: int = 0, fits: list | None = None) -> list[CheckCase]:
         k = int(rng.integers(0, L - 1))
         hi = min(400, max(8, 5000 // 4 ** (L - 1)))
         a_big = int(rng.integers(7, hi + 1))
-        cf = _random_cf(rng, L, big_at=k + 1, big=a_big, small_hi=3)
-        table = convergents(cf, cf.L)
-        if table.q(cf.L) > 5000:
+        table = _random_cf(rng, L, big_at=k + 1, big=a_big, small_hi=3)
+        if table.q(L) > 5000:
             continue
         digits = _random_digits(table, rng)
         add(table, OstrowskiRep(digits, table).value(), k, f"random_{made}")
@@ -509,15 +528,14 @@ def factor_cases(seed: int = 0) -> list[CheckCase]:
         k = int(rng.integers(1, L))
         hi = min(600, 3 * 10**4 // 5 ** (L - 1))
         a_big = int(rng.integers(150, hi + 1))
-        cf = _random_cf(rng, L, big_at=k + 1, big=a_big, small_hi=4)
-        table = convergents(cf, cf.L)
-        if table.q(cf.L) > 3 * 10**4:
+        table = _random_cf(rng, L, big_at=k + 1, big=a_big, small_hi=4)
+        if table.q(L) > 3 * 10**4:
             continue
         bstar = _b_star(a_big)
         dev = int(rng.integers(0, a_big // 10 + 1)) * (1 if rng.random() < 0.5 else -1)
         b_k = min(max(bstar + dev, 0), a_big - 1)
         overrides = {k: b_k}
-        if k + 1 < cf.L:
+        if k + 1 < L:
             # keep b_(k+1) off its maximum so the forced-zero rule cannot clear b_k
             overrides[k + 1] = int(rng.integers(0, table.partial(k + 2)))
         digits = _random_digits(table, rng, overrides=overrides)
@@ -539,20 +557,12 @@ def tail_cases(seed: int = 0) -> list[CheckCase]:
     rng = np.random.default_rng(seed)
     cases = []
     made = 0
-    while made < 150:
-        q = int(rng.integers(20, 5000))
-        p = int(rng.integers(1, q))
-        if math.gcd(p, q) != 1:
-            continue
-        cf = cf_expand(Fraction(p, q))
-        if cf.L < 3:
-            continue
-        table = convergents(cf, cf.L)
-        tail_table = convergents(cf_tail(cf), cf.L - 1)
-        N = int(rng.integers(0, table.q(cf.L)))
-        rep = ostrowski_encode(N, table)
+    for table in _coprime_tables(rng, None, 20, 5000, 3):
+        L = table.depth
+        tail_table = convergents(cf_tail(table.cf), L - 1)
+        rep = ostrowski_encode(int(rng.integers(0, table.q(L))), table)
         used = False
-        for ell in range(1, cf.L):
+        for ell in range(1, L):
             try:
                 lhs, unit = _tail_parts(table, tail_table, rep, ell)
             except PrecondError:
@@ -561,6 +571,8 @@ def tail_cases(seed: int = 0) -> list[CheckCase]:
                                frozen.TAIL_C * unit, abs(lhs)))
             used = True
         made += used
+        if made == 150:
+            break
     # large a_1: the log(a_1+1)/q'_ell term carries the envelope at ell = 1;
     # pin b_2 below 0.99 a_3 so the level-2 hypothesis holds
     cf = CFExpansion.from_partial_quotients(0, [40, 2, 3, 2, 2])
@@ -584,51 +596,35 @@ def identity_cases(seed: int = 0) -> list[CheckCase]:
     cases = []
     # Kubert functional equation on random (p/q, x)
     worst = 0.0
-    for _ in range(300):
-        q = int(rng.integers(2, 200))
-        p = int(rng.integers(1, q))
-        if math.gcd(p, q) != 1:
-            continue
+    for table in _coprime_tables(rng, 300, 2, 200, 1):
+        r = table.alpha_exact
+        q = r.denominator
         x = Fraction(int(rng.integers(1, 6 * q)), 6 * q)
         if (x / q) % 1 == 0 or x % 1 == 0:
             continue
         try:
-            lhs = shifted_sudler(Fraction(p, q), x / q, q - 1) + log_f(x / q)
-            rhs = kubert_rhs(Fraction(p, q), x)
+            lhs = shifted_sudler(r, x / q, q - 1) + log_f(x / q)
+            rhs = kubert_rhs(r, x)
         except ArithmeticError:
             continue
         worst = max(worst, abs(lhs - rhs) / (1 + abs(rhs)))
     cases.append(_case("kubert", "random_sweep", worst, 1e-12, ge=False))
     # product form vs direct prefix logs
     worst = 0.0
-    for i in range(40):
-        q = int(rng.integers(5, 300))
-        p = int(rng.integers(1, q))
-        if math.gcd(p, q) != 1:
-            continue
-        cf = cf_expand(Fraction(p, q))
-        table = convergents(cf, cf.L)
+    for table in _coprime_tables(rng, 40, 5, 300, 1):
         mags = _prefix_mags(table)
-        batch = product_form_logs(table, cf.L)
+        batch = product_form_logs(table, table.depth)
         err = float(np.max(np.abs(batch - mags) / (1.0 + np.abs(mags))))
         worst = max(worst, err)
-        N = int(rng.integers(0, q))
+        N = int(rng.integers(0, table.q(table.depth)))
         rep = ostrowski_encode(N, table)
         got = product_form_eval(rep)
         worst = max(worst, abs(got - float(mags[N])) / (1 + abs(float(mags[N]))))
     cases.append(_case("product_form", "random_sweep", worst, 1e-9, ge=False))
     # explicit single-period formula vs direct shifted product
     worst = 0.0
-    for _ in range(200):
-        q = int(rng.integers(3, 200))
-        p = int(rng.integers(1, q))
-        if math.gcd(p, q) != 1:
-            continue
-        cf = cf_expand(Fraction(p, q))
-        if cf.L < 2:
-            continue
-        table = convergents(cf, cf.L)
-        ell = int(rng.integers(1, cf.L))
+    for table in _coprime_tables(rng, 200, 3, 200, 2):
+        ell = int(rng.integers(1, table.depth))
         x = Fraction(int(rng.integers(-100, 101)), 120)
         try:
             got = explicit_formula_eval(ell, x, table)
@@ -657,17 +653,11 @@ def epsilon_cases(seed: int = 0) -> list[CheckCase]:
     worst = math.inf
     worst_ref_lo = math.inf
     worst_ref_hi = math.inf
-    for made in range(200):
-        q = int(rng.integers(10, 3000))
-        p = int(rng.integers(1, q))
-        if math.gcd(p, q) != 1:
-            continue
-        cf = cf_expand(Fraction(p, q))
-        table = convergents(cf, cf.L)
-        N = int(rng.integers(0, q))
-        rep = ostrowski_encode(N, table)
+    for table in _coprime_tables(rng, 200, 10, 3000, 1):
+        L = table.depth
+        rep = ostrowski_encode(int(rng.integers(0, table.q(L))), table)
         eps = epsilon_vector(rep, table)
-        for ell in range(cf.L):
+        for ell in range(L):
             if rep.digit(ell) < 1:
                 continue
             e = eps[ell]
@@ -675,13 +665,13 @@ def epsilon_cases(seed: int = 0) -> list[CheckCase]:
             hi = table.q(ell) * table.dist(ell + 1)
             worst = min(worst, float(e - lo), float(hi - e))
             # refined one-sided variants under digit restrictions, exact arithmetic
-            if ell + 2 <= cf.L:
+            if ell + 2 <= L:
                 a2 = table.partial(ell + 2)
                 delta = 1 - Fraction(rep.digit(ell + 1), a2)
                 if delta > 0:
                     ref_lo = -(1 - delta / 3) * table.q(ell) * table.dist(ell)
                     worst_ref_lo = min(worst_ref_lo, float(e - ref_lo))
-            if ell + 3 <= cf.L:
+            if ell + 3 <= L:
                 a3 = table.partial(ell + 3)
                 delta = 1 - Fraction(rep.digit(ell + 2), a3)
                 if delta > 0:
@@ -692,18 +682,11 @@ def epsilon_cases(seed: int = 0) -> list[CheckCase]:
     cases.append(_case("epsilon_bounds", "refined_upper", worst_ref_hi, 0.0))
     # renormalized convergent-distance difference bound
     worst = math.inf
-    for _ in range(200):
-        q = int(rng.integers(30, 5000))
-        p = int(rng.integers(1, q))
-        if math.gcd(p, q) != 1:
-            continue
-        cf = cf_expand(Fraction(p, q))
-        if cf.L < 3:
-            continue
-        table = convergents(cf, cf.L)
-        tail_table = convergents(cf_tail(cf), cf.L - 1)
-        for ell in range(1, cf.L):
-            for m in range(ell, cf.L):
+    for table in _coprime_tables(rng, 200, 30, 5000, 3):
+        L = table.depth
+        tail_table = convergents(cf_tail(table.cf), L - 1)
+        for ell in range(1, L):
+            for m in range(ell, L):
                 if m == 1 and table.partial(2) == 1:
                     continue
                 lhs, bound = ql_diff_check(ell, m, table, tail_table)
@@ -718,14 +701,8 @@ def cotangent_cases(seed: int = 0) -> list[CheckCase]:
     cases = []
     worst_irr = 0.0
     worst_rat = 0.0
-    for _ in range(200):
-        q = int(rng.integers(10, 2000))
-        p = int(rng.integers(1, q))
-        if math.gcd(p, q) != 1:
-            continue
-        cf = cf_expand(Fraction(p, q))
-        table = convergents(cf, cf.L)
-        ell = int(rng.integers(1, cf.L + 1))
+    for table in _coprime_tables(rng, 200, 10, 2000, 1):
+        ell = int(rng.integers(1, table.depth + 1))
         N = int(rng.integers(0, table.q(ell)))
         # first form: shift below the true distance ||q_(ell-1) alpha||
         dp = table.dist(ell - 1)
@@ -758,17 +735,9 @@ def cotangent_cases(seed: int = 0) -> list[CheckCase]:
     cases.append(_case("cot_sum", "rational_form", worst_rat, frozen.COT_SUM_C, ge=False))
     worst_v = 0.0
     decreasing_ok = True
-    for _ in range(100):
-        q = int(rng.integers(10, 1500))
-        p = int(rng.integers(1, q))
-        if math.gcd(p, q) != 1:
-            continue
-        cf = cf_expand(Fraction(p, q))
-        if cf.L < 2:
-            continue
-        table = convergents(cf, cf.L)
+    for table in _coprime_tables(rng, 100, 10, 1500, 2):
         # full depth is degenerate for rationals: ||q_L alpha|| = 0
-        ell = int(rng.integers(1, cf.L))
+        ell = int(rng.integers(1, table.depth))
         xs = np.linspace(-0.95, 0.95, 21)
         vals = [cotangent_V(ell, float(x), table) for x in xs]
         decreasing_ok &= all(a >= b for a, b in zip(vals, vals[1:]))

@@ -15,10 +15,8 @@ from sudlerlab.cfrac import (
     convergents,
     drop_first_digit_map,
     interval_Ik,
-    ostrowski_decode,
     ostrowski_digits,
     ostrowski_encode,
-    ostrowski_enumerate,
     parse_alpha,
     rationals_in_interval,
 )
@@ -265,7 +263,7 @@ def test_ostrowski_roundtrip_exhaustive():
         qL = t.q(len(digits))
         assert qL <= 10**4
         for N in range(qL):
-            assert ostrowski_decode(ostrowski_encode(N, t)) == N
+            assert ostrowski_encode(N, t).value() == N
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,16 +285,19 @@ def test_ostrowski_digits_match_scalar_encode(digits, depth_cut, n):
         ostrowski_digits(t, t.q(t.depth) + 1)
 
 
-def test_ostrowski_enumerate_order_and_count():
+def test_ostrowski_encode_order_and_count():
+    # N = 0 .. q_K - 1 meet every admissible digit vector exactly once, in the
+    # order of the direct search (top digit first, ascending)
     for digits, K in [([2, 3], 2), ([2, 3, 4], 3), ([1] * 9, 9), ([3, 1, 4, 1], 4)]:
         t = convergents(CFExpansion.from_partial_quotients(0, digits), len(digits))
-        values = [rep.value() for rep in ostrowski_enumerate(t, K)]
-        assert values == list(range(t.q(K)))
+        reps = [ostrowski_encode(N, t) for N in range(t.q(K))]
+        assert [rep.value() for rep in reps] == list(range(t.q(K)))
+        assert [rep.digits for rep in reps] == brute_force_reps(t, K)
 
 
-def test_ostrowski_enumerate_rule_example():
+def test_ostrowski_encode_rule_example():
     t = convergents(CFExpansion.from_partial_quotients(0, [2, 3]), 2)
-    reps = list(ostrowski_enumerate(t, 2))
+    reps = [ostrowski_encode(N, t) for N in range(t.q(2))]
     assert len(reps) == 7 == t.q(2)
     assert not any(r.digit(0) >= 1 and r.digit(1) == 3 for r in reps)
 

@@ -144,6 +144,14 @@ def test_eval_matches_readme_record(capsys):
     assert rc == 0 and out == "\n".join(block) + "\n"
 
 
+def test_eval_out_file_holds_the_stdout_record(tmp_path, capsys):
+    path = tmp_path / "rec.txt"
+    rc, out, _ = run(["eval", "5/12", "--out", str(path)], capsys)
+    assert rc == 0 and out == ""
+    rc, plain, _ = run(["eval", "5/12"], capsys)
+    assert rc == 0 and path.read_text(encoding="utf-8") == plain
+
+
 def test_eval_cf_form_matches_fraction(capsys):
     rc1, out1, _ = run(["eval", "cf:2,2"], capsys)
     rc2, out2, _ = run(["eval", "2/5"], capsys)
@@ -363,6 +371,16 @@ def test_verify_failing_suite_exits_3(tmp_path, capsys, monkeypatch):
     assert "  fake: 1 cases, worst margin -1" in err
 
 
+def test_verify_unwritable_output_fails_before_suite(tmp_path, capsys, monkeypatch):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("the suite ran before the output path was opened")
+
+    monkeypatch.setattr(verify, "run_suite", no_suite)
+    path = tmp_path / "no_such_dir" / "x.csv"
+    rc, _, err = run(["verify", "--suite", "continuity", "--out", str(path)], capsys)
+    assert rc == 2 and err.startswith("error: cannot write")
+
+
 def test_verify_unknown_suite_is_parse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "nonsense"])
@@ -432,7 +450,8 @@ def test_global_flags_accepted_after_subcommand(tmp_path, capsys):
     ["scan", "--qmax", "30"],
     ["verify", "--suite", "epsilon"],
     ["dist", "--N", "50"],
-], ids=["scan", "verify", "dist"])
+    ["eval", "5/12"],
+], ids=["scan", "verify", "dist", "eval"])
 def test_unwritable_out_exits_2(argv, tmp_path, capsys):
     path = tmp_path / "no_such_dir" / "out.csv"
     rc, _, err = run(["--out", str(path)] + argv, capsys)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -15,10 +16,9 @@ from sudlerlab.cfrac import (
     cf_tail,
     convergents,
     ostrowski_encode,
-    ostrowski_enumerate,
 )
 from sudlerlab import trig
-from sudlerlab.jones import _shifted_J_logmag
+from sudlerlab.jones import _shifted_J_logmag, m_k
 from sudlerlab.errors import (
     EnumerationCapError,
     PoleError,
@@ -244,6 +244,28 @@ def test_sudler_prefix_cap():
         sudler_prefix_logmags(Fraction(1, q), q - 1)
 
 
+def _cap_peak_bytes(fn):
+    """Peak traced allocation of fn(), which must raise EnumerationCapError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError):
+            fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("call", [
+    # q_17 of e - 2 is 4,996,032: the level-17 shifted Jones sum is refused
+    lambda: m_k(CFExpansion.preset("e-2"), 17),
+    lambda: shifted_sudler(Fraction(1, 3), Fraction(1, 7), trig.ENUM_CAP + 1),
+    lambda: cotangent_sum(Fraction(1, 3), Fraction(1, 7), trig.ENUM_CAP + 1),
+], ids=["m_k", "shifted_sudler", "cotangent_sum"])
+def test_residue_walks_refuse_past_cap(call):
+    # refused before the residues are made: ENUM_CAP int64 residues take 16 MiB
+    assert _cap_peak_bytes(call) < 1 << 20
+
+
 def test_sudler_prefix_matches_bruteforce():
     r = Fraction(5, 13)
     logs = sudler_prefix_logmags(r, 12)
@@ -338,7 +360,7 @@ def test_epsilon_lemma_bounds_exhaustive():
         t = convergents(CFExpansion.from_partial_quotients(0, digits), len(digits))
         K = len(digits)
         assert t.q(K) <= 10**3
-        for rep in ostrowski_enumerate(t, K):
+        for rep in (ostrowski_encode(N, t) for N in range(t.q(K))):
             ev = epsilon_vector(rep, t)
             for ell in range(K):
                 if rep.digit(ell) < 1:

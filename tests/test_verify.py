@@ -8,16 +8,24 @@ hypothesis gates and enumeration caps raise their distinct errors.
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sudlerlab import frozen, verify
-from sudlerlab.cfrac import CFExpansion, OstrowskiRep, cf_tail, convergents, ostrowski_encode
+from sudlerlab.cfrac import (
+    CFExpansion,
+    OstrowskiRep,
+    cf_expand,
+    cf_tail,
+    convergents,
+    ostrowski_encode,
+)
 from sudlerlab.dist import farey_enumerate
 from sudlerlab.errors import EnumerationCapError, PrecondError
 from sudlerlab.jones import h_eval, vol_41
-from sudlerlab.trig import ENUM_CAP
+from sudlerlab.trig import ENUM_CAP, epsilon_vector, epsilon_vector_primed, shifted_sudler
 
 
 def _make(digits):
@@ -237,6 +245,48 @@ def test_tail_log_term_carries_large_first_quotient():
     assert frozen.TAIL_C * unit - abs(lhs) >= 0
 
 
+def loop_tail_blocks(table, tail_table, rep, ell):
+    """2 b_ell single-period products, one per block: the oracle of _tail_parts."""
+    sgn = (-1) ** ell
+    q_ell, qp_ell = table.q(ell), tail_table.q(ell - 1)
+    d, dp = table.dist(ell), tail_table.dist(ell - 1)
+    eps = epsilon_vector(rep, table)[ell]
+    eps_p = epsilon_vector_primed(rep, tail_table)[ell]
+    lhs = 0.0
+    for b in range(rep.digit(ell)):
+        sh = Fraction(sgn * (b * q_ell * d + eps), q_ell)
+        sh_p = Fraction(-sgn * (b * qp_ell * dp + eps_p), qp_ell)
+        lhs += shifted_sudler(table.alpha_exact, sh, q_ell)
+        lhs -= shifted_sudler(tail_table.alpha_exact, sh_p, qp_ell)
+    return lhs
+
+
+def test_tail_parts_equals_per_block_sum():
+    # random reduced p/q (their own stream, not the suite's) at every admissible level
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(150):
+        q = int(rng.integers(20, 3000))
+        p = int(rng.integers(1, q))
+        if math.gcd(p, q) != 1:
+            continue
+        cf = cf_expand(Fraction(p, q))
+        if cf.L < 3:
+            continue
+        table = convergents(cf, cf.L)
+        tail_table = convergents(cf_tail(cf), cf.L - 1)
+        rep = ostrowski_encode(int(rng.integers(0, q)), table)
+        for ell in range(1, cf.L):
+            try:
+                lhs, _ = verify._tail_parts(table, tail_table, rep, ell)
+            except PrecondError:
+                continue
+            want = loop_tail_blocks(table, tail_table, rep, ell)
+            assert abs(lhs - want) <= 1e-12 * (1 + abs(lhs))
+            checked += rep.digit(ell) > 0
+    assert checked > 100
+
+
 def test_tail_rejects_bad_level():
     cf, table = _make([3, 2, 4, 3, 2])
     tail_table = convergents(cf_tail(cf), cf.L - 1)
@@ -306,6 +356,29 @@ def test_th3_sweep_equals_h_eval_loop(Ncap):
 
 
 # -- suite plumbing -----------------------------------------------------------------
+
+
+def test_coprime_tables_keep_the_callers_draws_in_place():
+    # the hand-rolled walk the suites used to spell out, with a draw of N after
+    # each table: the lazy generator must give the same rationals and N
+    rng = np.random.default_rng(3)
+    want = []
+    for _ in range(80):
+        q = int(rng.integers(20, 500))
+        p = int(rng.integers(1, q))
+        if math.gcd(p, q) != 1:
+            continue
+        cf = cf_expand(Fraction(p, q))
+        if cf.L < 3:
+            continue
+        want.append((Fraction(p, q), int(rng.integers(0, q))))
+    rng = np.random.default_rng(3)
+    got = []
+    for table in verify._coprime_tables(rng, 80, 20, 500, 3):
+        assert table.depth == table.cf.L >= 3
+        r = table.alpha_exact
+        got.append((r, int(rng.integers(0, r.denominator))))
+    assert got == want and len(got) > 30
 
 
 def test_run_suite_rejects_unknown_name():
