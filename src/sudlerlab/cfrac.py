@@ -45,9 +45,9 @@ def _euclid_digits(num: int, den: int) -> tuple[int, list[int]]:
 class CFExpansion:
     """A continued-fraction expansion, finite or infinite.
 
-    Infinite expansions come in two flavours: eventually periodic (stored as
-    a preperiod plus period) and rule-based (a 1-indexed digit function, used
-    for the e-2 preset). Instances are immutable.
+    A finite expansion stores its digits; an infinite one stores a 1-indexed
+    digit rule ell -> a_ell, whether eventually periodic (built by
+    _periodic) or not (the e-2 preset). Instances are immutable.
     """
 
     def __init__(
@@ -55,25 +55,14 @@ class CFExpansion:
         a0: int,
         digits: Sequence[int] | None = None,
         *,
-        preperiod: Sequence[int] | None = None,
-        period: Sequence[int] | None = None,
         digit_fn: Callable[[int], int] | None = None,
     ):
         self.a0 = int(a0)
         self._digits: tuple[int, ...] | None = None
-        self._pre: tuple[int, ...] = ()
-        self._period: tuple[int, ...] = ()
         self._fn = digit_fn
         if digit_fn is not None:
-            if digits is not None or period is not None:
+            if digits is not None:
                 raise PrecondError("give exactly one digit source")
-        elif period is not None:
-            self._pre = tuple(int(d) for d in (preperiod or ()))
-            self._period = tuple(int(d) for d in period)
-            if not self._period:
-                raise PrecondError("empty period")
-            if any(d < 1 for d in self._pre + self._period):
-                raise PrecondError("partial quotients must be >= 1")
         else:
             self._digits = tuple(int(d) for d in (digits or ()))
             if any(d < 1 for d in self._digits):
@@ -100,8 +89,7 @@ class CFExpansion:
     def _from_checked(cls, a0: int, digits: tuple[int, ...]) -> "CFExpansion":
         """Finite expansion from digits already known to be ints >= 1."""
         cf = cls.__new__(cls)
-        cf.a0, cf._fn = a0, None
-        cf._digits, cf._pre, cf._period = digits, (), ()
+        cf.a0, cf._digits, cf._fn = a0, digits, None
         return cf
 
     @classmethod
@@ -130,15 +118,10 @@ class CFExpansion:
             if ell > len(self._digits):
                 raise PrecondError(f"expansion has only {len(self._digits)} quotients")
             return self._digits[ell - 1]
-        if self._fn is not None:
-            a = int(self._fn(ell))
-            if a < 1:
-                raise PrecondError(f"digit rule produced a_{ell} = {a} < 1")
-            return a
-        i = ell - 1
-        if i < len(self._pre):
-            return self._pre[i]
-        return self._period[(i - len(self._pre)) % len(self._period)]
+        a = int(self._fn(ell))
+        if a < 1:
+            raise PrecondError(f"digit rule produced a_{ell} = {a} < 1")
+        return a
 
     def partials(self, upto: int) -> list[int]:
         if self._digits is not None and 0 <= upto <= len(self._digits):
@@ -159,32 +142,23 @@ class CFExpansion:
         return self.a0 + x
 
     def tail(self) -> "CFExpansion":
-        """The shifted expansion [0; a2, a3, ...]; requires a0 = 0, L >= 1."""
+        """The shifted expansion [0; a2, a3, ...], the fractional part of 1/x for
+        x = [0; a1, a2, ...]; requires a0 = 0, L >= 1."""
         if self.a0 != 0:
             raise PrecondError("tail() requires a0 = 0")
         if self._digits is not None:
             if not self._digits:
                 raise PrecondError("tail() of an integer")
             return CFExpansion(0, self._digits[1:])
-        if self._fn is not None:
-            fn = self._fn
-            return CFExpansion(0, digit_fn=lambda ell: fn(ell + 1))
-        if self._pre:
-            return CFExpansion(0, preperiod=self._pre[1:], period=self._period)
-        rot = self._period[1:] + self._period[:1]
-        return CFExpansion(0, period=rot)
+        fn = self._fn
+        return CFExpansion(0, digit_fn=lambda ell: fn(ell + 1))
 
     def __repr__(self) -> str:
         if self._digits is not None:
             body = ",".join(str(d) for d in self._digits)
             return f"[{self.a0};{body}]" if body else f"[{self.a0}]"
-        if self._fn is not None:
-            head = ",".join(str(d) for d in self.partials(6))
-            return f"[{self.a0};{head},...]"
-        pre = ",".join(str(d) for d in self._pre)
-        per = ",".join(str(d) for d in self._period)
-        sep = "," if pre else ""
-        return f"[{self.a0};{pre}{sep}({per})*]"
+        head = ",".join(str(d) for d in self.partials(6))
+        return f"[{self.a0};{head},...]"
 
 
 def _e_minus_2_digit(ell: int) -> int:
@@ -192,9 +166,20 @@ def _e_minus_2_digit(ell: int) -> int:
     return 2 * (ell + 1) // 3 if ell % 3 == 2 else 1
 
 
+def _periodic(pre: Sequence[int], period: Sequence[int]) -> CFExpansion:
+    """[0; pre, period, period, ...] as a digit rule."""
+    pre, period = tuple(pre), tuple(period)
+    if not period:
+        raise PrecondError("empty period")
+    n, m = len(pre), len(period)
+    return CFExpansion(
+        0, digit_fn=lambda ell: pre[ell - 1] if ell <= n else period[(ell - 1 - n) % m]
+    )
+
+
 _PRESETS: dict[str, Callable[[], CFExpansion]] = {
-    "golden": lambda: CFExpansion(0, period=(1,)),
-    "sqrt2inv": lambda: CFExpansion(0, preperiod=(1,), period=(2,)),
+    "golden": lambda: _periodic((), (1,)),
+    "sqrt2inv": lambda: _periodic((1,), (2,)),
     "e-2": lambda: CFExpansion(0, digit_fn=_e_minus_2_digit),
 }
 
@@ -225,7 +210,7 @@ def parse_alpha(text: str) -> CFExpansion:
             period = [int(d) for d in m.group("period").split(",") if d]
             if any(d < 1 for d in period):
                 raise PrecondError("cf period digits must be >= 1")
-            return CFExpansion(0, preperiod=digits, period=period)
+            return _periodic(digits, period)
         return CFExpansion.from_partial_quotients(0, digits, canonical=True)
     try:
         return cf_expand(Fraction(text))
@@ -344,16 +329,6 @@ class OstrowskiRep:
         """b_ell, with zeros beyond the stored vector."""
         return self.digits[ell] if 0 <= ell < len(self.digits) else 0
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OstrowskiRep)
-            and self.digits == other.digits
-            and self.table is other.table
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.digits, id(self.table)))
-
     def __repr__(self) -> str:
         return f"OstrowskiRep({self.digits})"
 
@@ -388,11 +363,6 @@ def ostrowski_digits(table: ConvergentTable, n: int) -> np.ndarray:
         if table.q(l) < n:
             np.divmod(rem, table.q(l), out=(digits[l], rem))
     return digits
-
-
-def cf_tail(cf: CFExpansion) -> CFExpansion:
-    """[0; a2, a3, ...] = fractional part of 1/x for x = [0; a1, a2, ...]."""
-    return cf.tail()
 
 
 def drop_first_digit_map(N: int, table: ConvergentTable, tail_table: ConvergentTable) -> int:

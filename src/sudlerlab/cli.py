@@ -52,7 +52,6 @@ from sudlerlab.errors import (
 from sudlerlab.jones import h_eval, vol_41
 
 ENV_CONFIG = "SUDLERLAB_CONFIG"
-PRESETS = ("golden", "sqrt2inv", "e-2")
 
 
 @dataclass(frozen=True)
@@ -165,13 +164,11 @@ def _array_rows(*columns):
 
 def parse_x(text: str) -> Fraction:
     """'p/q', a decimal or 'cf:a1,a2,...', each read by cfrac.parse_alpha."""
-    if text in PRESETS:
-        raise PrecondError(
-            f"preset {text!r} denotes an irrational; eval needs a rational"
-        )
     cf = cfrac.parse_alpha(text)
     if not cf.is_finite:
-        raise PrecondError(f"{text!r} is an infinite expansion; eval needs a rational")
+        raise PrecondError(
+            f"{text!r} is irrational (an infinite expansion); eval needs a rational"
+        )
     r = cf.value()
     if r == 0:
         raise PrecondError("h is undefined at 0")
@@ -262,14 +259,14 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:
-    if args.N < 50:
-        raise PrecondError(f"--N must be >= 50, got {args.N}")
+    Ncap = min(args.N, cfg.Ncap)
+    if Ncap < 50:
+        raise PrecondError(f"min(--N, --ncap) must be >= 50, got {Ncap}")
     with contextlib.ExitStack() as files:
         # both outputs are opened before the sweep, so a bad path fails at once
         out = files.enter_context(_open_out(cfg.output_path))
         report = files.enter_context(_open_out(args.report)) if args.report else None
         table = sweep(args.N, threads=cfg.threads)
-        Ncap = min(args.N, cfg.Ncap)
         D = _D_from_rows(table[table["q"] <= Ncap], Ncap)
         stat_logJ = _stat_logJ_from_mag(table["logJ"], args.N, D)
         stat_pq = _stat_pq_from_sum(table["sum_a"], args.N)

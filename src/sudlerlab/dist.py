@@ -101,6 +101,8 @@ def _stat_pq_from_sum(sum_a, N: int):
 
 def statistic_partial_quotients(r, N: int) -> float:
     """Normalized partial-quotient-sum statistic of r at sweep scale N."""
+    if N < 3:
+        raise PrecondError(f"need N >= 3, got {N}")
     cf = cf_expand(Fraction(r))
     return float(_stat_pq_from_sum(sum(cf.partials(cf.L)), N))
 
@@ -332,7 +334,10 @@ def sweep(N: int, threads: int = 1) -> np.ndarray:
     if threads <= 1:
         rows = np.concatenate(list(map(_farey_row, qs)))
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # fork starts every worker at the first submit, so ask for no more
+        # workers than there are tasks
+        workers = min(threads, math.ceil(len(qs) / _SWEEP_CHUNK))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = np.concatenate(list(pool.map(_farey_row, qs, chunksize=_SWEEP_CHUNK)))
     rows["sum_a"] = _partial_quotient_sums(rows["p"], rows["q"])
     return rows

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from sudlerlab.cfrac import CFExpansion, cf_expand, cf_tail, convergents
+from sudlerlab.cfrac import CFExpansion, cf_expand, convergents
 from sudlerlab.errors import EnumerationCapError, PrecondError, ZeroFactorError
 from sudlerlab.trig import (
     ENUM_CAP,
@@ -251,7 +251,7 @@ def m_k(cf: CFExpansion, k: int) -> float:
     if k < 1:
         raise PrecondError(f"need k >= 1, got {k}")
     t = convergents(cf, k)
-    tail = convergents(cf_tail(cf), max(k - 1, 0))
+    tail = convergents(cf.tail(), max(k - 1, 0))
     num = _shifted_J_logmag(t.p(k), t.q(k), Fraction((-1) ** k * 5, 6 * t.q(k)))
     qp = tail.q(k - 1)
     den = _shifted_J_logmag(tail.p(k - 1), qp, Fraction((-1) ** (k - 1) * 5, 6 * qp))

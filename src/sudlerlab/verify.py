@@ -27,7 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -38,7 +37,6 @@ from sudlerlab.cfrac import (
     ConvergentTable,
     OstrowskiRep,
     cf_expand,
-    cf_tail,
     convergents,
     interval_Ik,
     ostrowski_digits,
@@ -124,13 +122,6 @@ def merge_cases(cases: Iterable[CheckCase]) -> list[CheckReport]:
 # -- shared plumbing -------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _prefix_mags_cached(p: int, q: int) -> np.ndarray:
-    mags = sudler_prefix_logmags(Fraction(p, q), q - 1)
-    mags.setflags(write=False)
-    return mags
-
-
 def _prefix_mags(table: ConvergentTable) -> np.ndarray:
     """log P_N(alpha) for N = 0 .. q-1 at the table's exact rational alpha.
 
@@ -139,7 +130,7 @@ def _prefix_mags(table: ConvergentTable) -> np.ndarray:
     a = table.alpha_exact
     if not table.cf.is_finite or table.depth != table.cf.L:
         raise PrecondError("need the full-depth table of a rational alpha")
-    return _prefix_mags_cached(a.numerator, a.denominator)
+    return sudler_prefix_logmags(a, a.denominator - 1)
 
 
 def _log_max_partial(table: ConvergentTable, k: int) -> float:
@@ -559,7 +550,7 @@ def tail_cases(seed: int = 0) -> list[CheckCase]:
     made = 0
     for table in _coprime_tables(rng, None, 20, 5000, 3):
         L = table.depth
-        tail_table = convergents(cf_tail(table.cf), L - 1)
+        tail_table = convergents(table.cf.tail(), L - 1)
         rep = ostrowski_encode(int(rng.integers(0, table.q(L))), table)
         used = False
         for ell in range(1, L):
@@ -577,7 +568,7 @@ def tail_cases(seed: int = 0) -> list[CheckCase]:
     # pin b_2 below 0.99 a_3 so the level-2 hypothesis holds
     cf = CFExpansion.from_partial_quotients(0, [40, 2, 3, 2, 2])
     table = convergents(cf, cf.L)
-    tail_table = convergents(cf_tail(cf), cf.L - 1)
+    tail_table = convergents(cf.tail(), cf.L - 1)
     digits = _random_digits(
         table, np.random.default_rng(seed + 1), overrides={1: 1, 2: 0}
     )
@@ -684,7 +675,7 @@ def epsilon_cases(seed: int = 0) -> list[CheckCase]:
     worst = math.inf
     for table in _coprime_tables(rng, 200, 30, 5000, 3):
         L = table.depth
-        tail_table = convergents(cf_tail(table.cf), L - 1)
+        tail_table = convergents(table.cf.tail(), L - 1)
         for ell in range(1, L):
             for m in range(ell, L):
                 if m == 1 and table.partial(2) == 1:

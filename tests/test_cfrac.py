@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sudlerlab.cfrac import (
+    GUARD_DEPTH,
     CFExpansion,
     ConvergentTable,
     cf_expand,
-    cf_tail,
     convergents,
     drop_first_digit_map,
     interval_Ik,
@@ -103,9 +103,63 @@ def test_parse_alpha():
     assert parse_alpha("0.125").value() == Fraction(1, 8)
     assert parse_alpha("cf:1~period:2").partials(5) == [1, 2, 2, 2, 2]
     assert parse_alpha("golden").partials(3) == [1, 1, 1]
-    for bad in ["", "x", "1/0", "cf:", "cf:0,2"]:
+    for bad in ["", "x", "1/0", "cf:", "cf:0,2", "cf:1~period:,"]:
         with pytest.raises(PrecondError):
             parse_alpha(bad)
+
+
+def _stored_digit(pre, period, ell):
+    """a_ell of [0; pre, period, period, ...] by preperiod/period indexing."""
+    i = ell - 1
+    if i < len(pre):
+        return pre[i]
+    return period[(i - len(pre)) % len(period)]
+
+
+def _stored_tail(pre, period):
+    """The tail as a new preperiod and period: drop pre's head, else rotate."""
+    if pre:
+        return pre[1:], period
+    return (), period[1:] + period[:1]
+
+
+@given(
+    st.lists(st.integers(1, 9), max_size=5).map(tuple),
+    st.lists(st.integers(1, 9), min_size=1, max_size=5).map(tuple),
+)
+@settings(max_examples=100, deadline=None)
+def test_periodic_literal_matches_preperiod_period_oracle(pre, period):
+    # an empty preperiod is written "cf:,~period:..."
+    text = f"cf:{','.join(map(str, pre)) or ','}~period:{','.join(map(str, period))}"
+    cf = parse_alpha(text)
+    assert not cf.is_finite
+
+    # the convergent table is the exact table of the truncation at depth
+    # 20 + GUARD_DEPTH; rows l = -1 .. 28 are stored at offset +1
+    want = [_stored_digit(pre, period, ell) for ell in range(1, 21 + GUARD_DEPTH)]
+    p, q = [1, 0], [0, 1]
+    for a in want:
+        p.append(a * p[-1] + p[-2])
+        q.append(a * q[-1] + q[-2])
+    alpha = Fraction(p[-1], q[-1])
+    t = convergents(cf, 20)
+    assert t.alpha_exact == alpha
+    for ell in range(-1, 21):
+        assert (t.p(ell), t.q(ell)) == (p[ell + 1], q[ell + 1])
+        assert t.theta(ell) == q[ell + 1] * alpha - p[ell + 1]
+        if ell >= 1:
+            assert t.partial(ell) == want[ell - 1]
+
+    # digits and truncations of cf and its tails, through two turns of the period
+    n = 40
+    for _ in range(len(pre) + 2 * len(period)):
+        want = [_stored_digit(pre, period, ell) for ell in range(1, n + 1)]
+        assert cf.partials(n) == want
+        x = Fraction(0)
+        for a in reversed(want):
+            x = 1 / (a + x)
+        assert cf.truncation(n) == x
+        cf, (pre, period) = cf.tail(), _stored_tail(pre, period)
 
 
 # -- convergents --------------------------------------------------------------
@@ -306,12 +360,12 @@ def test_ostrowski_encode_rule_example():
 
 
 def test_cf_tail_examples():
-    assert repr(cf_tail(cf_expand(Fraction(1, 3)))) == "[0]"
-    t = cf_tail(CFExpansion.from_partial_quotients(0, [1, 2, 3]))
+    assert repr(cf_expand(Fraction(1, 3)).tail()) == "[0]"
+    t = CFExpansion.from_partial_quotients(0, [1, 2, 3]).tail()
     assert t.partials(2) == [2, 3]
-    assert cf_tail(CFExpansion.preset("golden")).partials(5) == [1] * 5
-    assert cf_tail(CFExpansion.preset("sqrt2inv")).partials(4) == [2, 2, 2, 2]
-    assert cf_tail(CFExpansion.preset("e-2")).partials(10) == [2, 1, 1, 4, 1, 1, 6, 1, 1, 8]
+    assert CFExpansion.preset("golden").tail().partials(5) == [1] * 5
+    assert CFExpansion.preset("sqrt2inv").tail().partials(4) == [2, 2, 2, 2]
+    assert CFExpansion.preset("e-2").tail().partials(10) == [2, 1, 1, 4, 1, 1, 6, 1, 1, 8]
 
 
 def test_tail_table_relation():
@@ -319,7 +373,7 @@ def test_tail_table_relation():
     for digits in [[1, 2, 3], [2, 3, 4, 5], [4, 1, 1, 2]]:
         cf = CFExpansion.from_partial_quotients(0, digits)
         t = convergents(cf, len(digits))
-        tt = convergents(cf_tail(cf), len(digits) - 1)
+        tt = convergents(cf.tail(), len(digits) - 1)
         a1 = t.partial(1)
         for l in range(1, len(digits) + 1):
             assert tt.q(l - 1) == t.p(l)
@@ -332,7 +386,7 @@ def test_drop_first_digit_map_multiset():
         cf = CFExpansion.from_partial_quotients(0, digits)
         L = len(digits)
         t = convergents(cf, L)
-        tt = convergents(cf_tail(cf), L - 1)
+        tt = convergents(cf.tail(), L - 1)
         a1, a2 = t.partial(1), t.partial(2)
         images = []
         for N in range(t.q(L)):

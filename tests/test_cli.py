@@ -424,6 +424,21 @@ def test_dist_rejects_small_N(capsys):
     assert rc == 2
 
 
+def test_dist_rejects_small_ncap_before_sweep(tmp_path, capsys, monkeypatch):
+    # D needs F_Ncap with Ncap >= 50: refused before the sweep, and before
+    # --out is opened, so an existing file keeps its bytes
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran with an unusable --ncap")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"kept\n")
+    rc, _, err = run(["dist", "--N", "1000", "--ncap", "10", "--stat", "pq",
+                      "--out", str(path)], capsys)
+    assert rc == 2 and err.startswith("error: ")
+    assert path.read_bytes() == b"kept\n"
+
+
 def test_dist_unconverged_stable_law_exits_4(capsys, monkeypatch):
     # a 3-point guard rule cannot match the fine rule, so the grid build fails
     monkeypatch.setattr(dist, "_COARSE", dist._graded_rule(3))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sudlerlab import dist
 from sudlerlab.cfrac import cf_expand
 from sudlerlab.dist import (
     EULER_GAMMA,
@@ -196,6 +197,10 @@ def test_statistic_partial_quotients_closed_form():
               + 2 * math.log(6 / math.pi)) / math.pi
     want = math.pi * 2 / (6 * math.log(N)) - center
     assert statistic_partial_quotients(Fraction(1, 2), N) == pytest.approx(want, abs=1e-12)
+    # log log N is undefined at N = 1 and negative at N = 2, as in statistic_logJ
+    for N in (1, 2):
+        with pytest.raises(PrecondError):
+            statistic_partial_quotients(Fraction(1, 2), N)
 
 
 def test_statistic_logJ_closed_form():
@@ -242,6 +247,30 @@ def test_partial_quotient_sums_match_cf_expand(q):
 def test_sweep_threads_agree():
     # 119 denominators: each of the two workers maps several chunks of them
     assert np.array_equal(sweep(120, threads=2), sweep(120))
+
+
+def test_sweep_forks_no_more_workers_than_tasks(monkeypatch):
+    # fork starts all max_workers processes at once: 119 denominators in
+    # chunks of 8 are 15 tasks, so 15 workers even when 1000 are allowed
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(dist, "ProcessPoolExecutor", InProcessPool)
+    rows = sweep(120, threads=1000)
+    assert asked == [15]
+    assert np.array_equal(rows, sweep(120))
 
 
 def test_estimate_D_regression_and_stability():

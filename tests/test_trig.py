@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from sudlerlab.cfrac import (
     CFExpansion,
     cf_expand,
-    cf_tail,
     convergents,
     ostrowski_encode,
 )
@@ -385,7 +384,7 @@ def test_epsilon_lemma_bounds_exhaustive():
 def test_epsilon_primed_sign_and_zero():
     cf = CFExpansion.from_partial_quotients(0, [2, 3, 4])
     t = convergents(cf, 3)
-    tt = convergents(cf_tail(cf), 2)
+    tt = convergents(cf.tail(), 2)
     rep = ostrowski_encode(t.q(3) - 1, t)
     ev = epsilon_vector_primed(rep, tt)
     assert ev[0] == 0
@@ -744,7 +743,7 @@ def test_ql_diff_exhaustive_random_rationals():
         if L < 2:
             continue
         t = convergents(cf, L)
-        tt = convergents(cf_tail(cf), L - 1)
+        tt = convergents(cf.tail(), L - 1)
         for m in range(1, L):
             if m == 1 and cf.partial(2) == 1:
                 continue
@@ -759,7 +758,7 @@ def test_ql_diff_diagonal_identity():
     cf = cf_expand(Fraction(57, 200))
     L = cf.L
     t = convergents(cf, L)
-    tt = convergents(cf_tail(cf), L - 1)
+    tt = convergents(cf.tail(), L - 1)
     for m in range(2, L):
         lhs, _ = ql_diff_check(m, m, t, tt)
         rest = CFExpansion.from_partial_quotients(cf.partial(m + 1), list(cf.partials(L))[m + 1 :])
@@ -771,7 +770,7 @@ def test_ql_diff_diagonal_identity():
 def test_ql_diff_hypothesis_rejected():
     cf = CFExpansion.from_partial_quotients(0, [1, 1, 1, 1, 1, 1])
     t = convergents(cf, 6)
-    tt = convergents(cf_tail(cf), 5)
+    tt = convergents(cf.tail(), 5)
     with pytest.raises(PrecondError):
         ql_diff_check(1, 1, t, tt)
     with pytest.raises(PrecondError):

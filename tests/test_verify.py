@@ -18,7 +18,6 @@ from sudlerlab.cfrac import (
     CFExpansion,
     OstrowskiRep,
     cf_expand,
-    cf_tail,
     convergents,
     ostrowski_encode,
 )
@@ -214,7 +213,7 @@ def test_kashaev_enumeration_cap():
 
 def test_tail_empty_block_is_exact_zero():
     cf, table = _make([3, 2, 4, 3, 2])
-    tail_table = convergents(cf_tail(cf), cf.L - 1)
+    tail_table = convergents(cf.tail(), cf.L - 1)
     N = _instance(table, {2: 0})
     rep = ostrowski_encode(N, table)
     lhs, unit = verify._tail_parts(table, tail_table, rep, 2)
@@ -223,7 +222,7 @@ def test_tail_empty_block_is_exact_zero():
 
 def test_tail_level_one_with_unit_quotient_degenerates():
     cf, table = _make([3, 1, 2, 2])
-    tail_table = convergents(cf_tail(cf), cf.L - 1)
+    tail_table = convergents(cf.tail(), cf.L - 1)
     rep = ostrowski_encode(_instance(table, {1: 1}), table)
     with pytest.raises(PrecondError):
         verify._tail_parts(table, tail_table, rep, 1)
@@ -237,7 +236,7 @@ def test_tail_log_term_carries_large_first_quotient():
     # ratio is genuinely nonzero, so only the log(a_1 + 1) term can hold it
     cf, table = _make([40, 2, 3, 2, 2])
     rep = OstrowskiRep((30, 1, 0, 1, 1), table)
-    tail_table = convergents(cf_tail(cf), cf.L - 1)
+    tail_table = convergents(cf.tail(), cf.L - 1)
     lhs, unit = verify._tail_parts(table, tail_table, rep, 1)
     logterm = math.log(table.partial(1) + 1) / tail_table.q(0)
     assert unit == logterm and logterm > 0
@@ -274,7 +273,7 @@ def test_tail_parts_equals_per_block_sum():
         if cf.L < 3:
             continue
         table = convergents(cf, cf.L)
-        tail_table = convergents(cf_tail(cf), cf.L - 1)
+        tail_table = convergents(cf.tail(), cf.L - 1)
         rep = ostrowski_encode(int(rng.integers(0, q)), table)
         for ell in range(1, cf.L):
             try:
@@ -289,7 +288,7 @@ def test_tail_parts_equals_per_block_sum():
 
 def test_tail_rejects_bad_level():
     cf, table = _make([3, 2, 4, 3, 2])
-    tail_table = convergents(cf_tail(cf), cf.L - 1)
+    tail_table = convergents(cf.tail(), cf.L - 1)
     rep = ostrowski_encode(5, table)
     for ell in (0, cf.L):
         with pytest.raises(PrecondError):
