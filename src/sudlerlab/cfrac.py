@@ -183,7 +183,7 @@ _PRESETS: dict[str, Callable[[], CFExpansion]] = {
     "e-2": lambda: CFExpansion(0, digit_fn=_e_minus_2_digit),
 }
 
-_CF_LITERAL = re.compile(r"^cf:(?P<digits>[\d,]+?)(~period:(?P<period>[\d,]+))?$")
+_CF_LITERAL = re.compile(r"^cf:(?P<digits>[\d,]*?)(~period:(?P<period>[\d,]+))?$")
 
 
 def cf_expand(r: Fraction | int) -> CFExpansion:
@@ -365,21 +365,18 @@ def ostrowski_digits(table: ConvergentTable, n: int) -> np.ndarray:
     return digits
 
 
-def drop_first_digit_map(N: int, table: ConvergentTable, tail_table: ConvergentTable) -> int:
-    """Map N = sum b_l q_l to N' = sum_{l>=1} b_l q'_l, with q'_l = p_l.
+def drop_first_digit_map(N: int, table: ConvergentTable) -> int:
+    """Map N = sum b_l q_l to N' = sum_{l>=1} b_l q'_l, where q'_l = p_l is the
+    level-l denominator of the first-digit-dropped expansion [0; a2, a3, ...].
 
-    The tail table is indexed so that its standard row l-1 carries the primed
-    level-l data (q'_l = tail.q(l-1) = p_l). Requires b_1(N) < a_2.
+    Requires a0 = 0 (so p_0 = 0) and b_1(N) < a_2.
     """
+    if table.cf.a0 != 0:
+        raise PrecondError("drop_first_digit_map requires a0 = 0")
     rep = ostrowski_encode(N, table)
     if table.depth >= 2 and rep.digit(1) >= table.partial(2):
         raise PrecondError("map needs b_1(N) < a_2")
-    if tail_table.depth < table.depth - 1:
-        raise PrecondError("tail table too shallow")
-    for l in range(1, table.depth + 1):
-        if l - 1 <= tail_table.depth and tail_table.q(l - 1) != table.p(l):
-            raise PrecondError("tail table does not match (q'_l != p_l)")
-    return sum(rep.digit(l) * tail_table.q(l - 1) for l in range(1, table.depth))
+    return sum(b * table.p(l) for l, b in enumerate(rep.digits))
 
 
 def interval_Ik(cf: CFExpansion, k: int) -> tuple[Fraction, Fraction]:

@@ -243,16 +243,18 @@ def m_k(cf: CFExpansion, k: int) -> float:
     """M_k: log ratio of 5/6-shifted Jones-type sums at level k.
 
     Numerator runs over the convergent p_k/q_k with shift (-1)^k (5/6)/q_k,
-    denominator over the first-digit-dropped convergent with the opposite
-    sign.  Depends only on the first k partial quotients.  Raises
+    denominator over the level-k convergent (q_k - a_1 p_k)/p_k of the
+    first-digit-dropped 1/alpha - a_1 with the opposite sign.  Requires
+    a0 = 0; depends only on the first k partial quotients.  Raises
     EnumerationCapError, before allocating, when a sum has more than
     trig.ENUM_CAP terms (the cap of trig._residues).
     """
     if k < 1:
         raise PrecondError(f"need k >= 1, got {k}")
+    if cf.a0 != 0:
+        raise PrecondError("m_k requires a0 = 0")
     t = convergents(cf, k)
-    tail = convergents(cf.tail(), max(k - 1, 0))
     num = _shifted_J_logmag(t.p(k), t.q(k), Fraction((-1) ** k * 5, 6 * t.q(k)))
-    qp = tail.q(k - 1)
-    den = _shifted_J_logmag(tail.p(k - 1), qp, Fraction((-1) ** (k - 1) * 5, 6 * qp))
+    pp, qp = t.q(k) - t.partial(1) * t.p(k), t.p(k)
+    den = _shifted_J_logmag(pp, qp, Fraction((-1) ** (k - 1) * 5, 6 * qp))
     return num - den

@@ -12,8 +12,9 @@ vanishing factor.  The module provides:
   * shifted cotangent sums and the weighted cotangent sum V_l,
   * an exact closed form for P_{q_l}(alpha, x/q_l) as a ratio product over
     the integer grid n/q_l,
-  * the coupling bound between q_l ||q_m alpha|| and its first-digit-dropped
-    counterpart.
+  * the coupling bound between q_l ||q_m alpha|| and its counterpart at the
+    first-digit-dropped alpha' = 1/alpha - a_1, read from alpha's own table:
+    for a0 = 0, level l of alpha' has q'_l = p_l and theta'_l = -theta_l/alpha.
 
 Sign conventions follow the convergent tables of `cfrac`: theta_l =
 q_l alpha - p_l alternates sign, theta_l = (-1)^l dist_l with
@@ -42,7 +43,6 @@ __all__ = [
     "shifted_sudler",
     "kubert_rhs",
     "epsilon_vector",
-    "epsilon_vector_primed",
     "product_form_eval",
     "product_form_logs",
     "cotangent_sum",
@@ -278,6 +278,8 @@ def epsilon_vector(rep: OstrowskiRep, table: ConvergentTable) -> tuple[Fraction,
 
     eps_l = q_l * sum_{m>l} (-1)^(l+m) b_m dist_m, via suffix sums of theta.
     Only positions with b_l >= 1 enter the product form, but all are returned.
+    For a0 = 0 the same digits at alpha' = 1/alpha - a_1 (q'_l = p_l,
+    theta'_l = -theta_l/alpha) give eps'_l = -eps_l p_l/(q_l alpha).
     """
     digits = rep.digits
     K = len(digits)
@@ -287,26 +289,6 @@ def epsilon_vector(rep: OstrowskiRep, table: ConvergentTable) -> tuple[Fraction,
     for ell in range(K - 1, -1, -1):
         eps[ell] = (-1) ** ell * table.q(ell) * tail
         tail += digits[ell] * table.theta(ell)
-    return tuple(eps)
-
-
-def epsilon_vector_primed(rep: OstrowskiRep, tail_table: ConvergentTable) -> tuple[Fraction, ...]:
-    """The eps vector seen by the first-digit-dropped expansion.
-
-    Uses the primed convergents q'_l = (tail table row l-1) and the opposite
-    sign pairing: eps'_l = q'_l sum_{m>l} (-1)^(l+m-1) b_m dist'_m.  Position
-    l = 0 is identically zero (q'_0 = 0).
-    """
-    digits = rep.digits
-    K = len(digits)
-    acc = Fraction(0)
-    eps = [Fraction(0)] * K
-    for ell in range(K - 1, -1, -1):
-        if ell >= 1:
-            eps[ell] = (-1) ** ell * tail_table.q(ell - 1) * acc
-        # theta'_{m} lives at tail-table row m-1
-        if ell >= 1:
-            acc += digits[ell] * tail_table.theta(ell - 1)
     return tuple(eps)
 
 
@@ -469,18 +451,21 @@ def explicit_formula_eval(ell: int, x, table: ConvergentTable) -> float:
     return first + mid + ratio
 
 
-def ql_diff_check(ell: int, m: int, table: ConvergentTable, tail_table: ConvergentTable):
+def ql_diff_check(ell: int, m: int, table: ConvergentTable):
     """Coupling of q_l dist_m across dropping the first partial quotient.
 
-    Returns (lhs, bound) as exact Fractions, where
-    lhs = |q_l dist_m - q'_l dist'_m| and bound = 2/(q_{l+1} q'_{m+1});
-    the contract is lhs <= bound.  Valid for 1 <= l <= m, provided m >= 2,
-    or m = 1 with a_2 > 1 (otherwise rejected: q'_1 degenerates).
+    Returns (lhs, bound) as exact Fractions, where lhs = |q_l dist_m - q'_l
+    dist'_m| = |q_l - p_l/alpha| dist_m (q'_l = p_l, dist'_m = dist_m/alpha)
+    and bound = 2/(q_{l+1} p_{m+1}); the contract is lhs <= bound.  Valid for
+    a0 = 0 and 1 <= l <= m, provided m >= 2, or m = 1 with a_2 > 1 (otherwise
+    rejected: q'_1 degenerates).
     """
+    if table.cf.a0 != 0:
+        raise PrecondError("ql_diff_check requires a0 = 0")
     if not 1 <= ell <= m:
         raise PrecondError(f"need 1 <= ell <= m, got ell={ell}, m={m}")
     if not (m >= 2 or table.partial(2) > 1):
         raise PrecondError("m = 1 requires a_2 > 1")
-    lhs = abs(table.q(ell) * table.dist(m) - tail_table.q(ell - 1) * tail_table.dist(m - 1))
-    bound = Fraction(2, table.q(ell + 1) * tail_table.q(m))
+    lhs = abs(table.q(ell) - table.p(ell) / table.alpha_exact) * table.dist(m)
+    bound = Fraction(2, table.q(ell + 1) * table.p(m + 1))
     return lhs, bound

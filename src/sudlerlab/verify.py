@@ -52,7 +52,6 @@ from sudlerlab.trig import (
     cotangent_sum,
     cotangent_V,
     epsilon_vector,
-    epsilon_vector_primed,
     explicit_formula_eval,
     kubert_rhs,
     log_f,
@@ -302,16 +301,18 @@ def _kashaev_parts(cf: CFExpansion, k: int, K: int, A: float):
 # -- tail estimate for renormalized blocks -----------------------------------------
 
 
-def _tail_parts(table: ConvergentTable, tail_table: ConvergentTable,
-                rep: OstrowskiRep, ell: int):
+def _tail_parts(table: ConvergentTable, rep: OstrowskiRep, ell: int):
     """Level-ell block of P_N against its first-quotient-dropped counterpart.
 
     Returns (lhs, unit): lhs is the log of the product over b < b_ell(N) of
     shifted single-period factors at alpha over the same product at
-    alpha' = tail(alpha), each side one shifted product of b_ell periods,
+    alpha' = 1/alpha - a_1, each side one shifted product of b_ell periods,
     exactly 0 for an empty block (b_ell = 0), and unit
-    = s^(3/4)/q'_ell^(3/4) + log(a_1 + 1)/q'_ell.
+    = s^(3/4)/q'_ell^(3/4) + log(a_1 + 1)/q'_ell.  alpha' is read from
+    alpha's own table (a0 = 0): q'_l = p_l, theta'_l = -theta_l/alpha.
     """
+    if table.cf.a0 != 0:
+        raise PrecondError("_tail_parts requires a0 = 0")
     L = table.depth
     if not 1 <= ell < L:
         raise PrecondError(f"need 1 <= ell < L={L}")
@@ -319,24 +320,24 @@ def _tail_parts(table: ConvergentTable, tail_table: ConvergentTable,
     b_ell = rep.digit(ell)
     if ell == 1 and table.partial(2) == 1 and b_ell > 0:
         raise PrecondError("level 1 with a_2 = 1 admits only the empty block")
-    qp_ell = tail_table.q(ell - 1)
+    qp_ell = table.p(ell)
     a_next = table.partial(ell + 1)
     if not (a_next <= qp_ell ** (1 / 100) or b_ell <= 0.99 * a_next):
         raise PrecondError("tail hypothesis (i) fails")
     if ell + 2 <= L:
         a_next2 = table.partial(ell + 2)
-        qp_next = tail_table.q(ell)
+        qp_next = table.p(ell + 1)
         if not (a_next2 <= qp_next ** (1 / 100) or rep.digit(ell + 1) <= 0.99 * a_next2):
             raise PrecondError("tail hypothesis (ii) fails")
     # block b sits at shift sh + b theta_l = sh + b q_l alpha (mod 1): it is
     # factors b q_l + 1 .. (b + 1) q_l of one product at the b = 0 shift, and
-    # likewise at alpha' with q'_l and theta'_l
-    sgn = (-1) ** ell
+    # likewise at alpha' with q'_l and theta'_l, where the shift
+    # -(-1)^l eps'_l/q'_l is sh/alpha (eps'_l = -eps_l p_l/(q_l alpha))
+    alpha = table.alpha_exact
     q_ell = table.q(ell)
-    sh = Fraction(sgn * epsilon_vector(rep, table)[ell], q_ell)
-    sh_p = Fraction(-sgn * epsilon_vector_primed(rep, tail_table)[ell], qp_ell)
-    lhs = (shifted_sudler(table.alpha_exact, sh, b_ell * q_ell)
-           - shifted_sudler(tail_table.alpha_exact, sh_p, b_ell * qp_ell))
+    sh = Fraction((-1) ** ell * epsilon_vector(rep, table)[ell], q_ell)
+    lhs = (shifted_sudler(alpha, sh, b_ell * q_ell)
+           - shifted_sudler(1 / alpha - a1, sh / alpha, b_ell * qp_ell))
     s = sum(table.partial(m) for m in range(2, ell + 1))
     unit = s**0.75 / qp_ell**0.75 + math.log(a1 + 1) / qp_ell
     return lhs, unit
@@ -550,12 +551,11 @@ def tail_cases(seed: int = 0) -> list[CheckCase]:
     made = 0
     for table in _coprime_tables(rng, None, 20, 5000, 3):
         L = table.depth
-        tail_table = convergents(table.cf.tail(), L - 1)
         rep = ostrowski_encode(int(rng.integers(0, table.q(L))), table)
         used = False
         for ell in range(1, L):
             try:
-                lhs, unit = _tail_parts(table, tail_table, rep, ell)
+                lhs, unit = _tail_parts(table, rep, ell)
             except PrecondError:
                 continue
             cases.append(_case("tail", f"random_{made}_l{ell}",
@@ -568,12 +568,10 @@ def tail_cases(seed: int = 0) -> list[CheckCase]:
     # pin b_2 below 0.99 a_3 so the level-2 hypothesis holds
     cf = CFExpansion.from_partial_quotients(0, [40, 2, 3, 2, 2])
     table = convergents(cf, cf.L)
-    tail_table = convergents(cf.tail(), cf.L - 1)
     digits = _random_digits(
         table, np.random.default_rng(seed + 1), overrides={1: 1, 2: 0}
     )
-    rep = ostrowski_encode(OstrowskiRep(digits, table).value(), table)
-    lhs, unit = _tail_parts(table, tail_table, rep, 1)
+    lhs, unit = _tail_parts(table, OstrowskiRep(digits, table), 1)
     cases.append(_case("tail", "large_a1", frozen.TAIL_C * unit, abs(lhs)))
     return cases
 
@@ -675,12 +673,11 @@ def epsilon_cases(seed: int = 0) -> list[CheckCase]:
     worst = math.inf
     for table in _coprime_tables(rng, 200, 30, 5000, 3):
         L = table.depth
-        tail_table = convergents(table.cf.tail(), L - 1)
         for ell in range(1, L):
             for m in range(ell, L):
                 if m == 1 and table.partial(2) == 1:
                     continue
-                lhs, bound = ql_diff_check(ell, m, table, tail_table)
+                lhs, bound = ql_diff_check(ell, m, table)
                 worst = min(worst, float(bound - lhs))
     cases.append(_case("ql_diff", "random_sweep", worst, 0.0))
     return cases

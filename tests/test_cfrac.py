@@ -21,6 +21,7 @@ from sudlerlab.cfrac import (
     rationals_in_interval,
 )
 from sudlerlab.errors import PrecondError
+from sudlerlab.trig import epsilon_vector
 
 
 def reduced_fractions(max_q=3000):
@@ -103,7 +104,12 @@ def test_parse_alpha():
     assert parse_alpha("0.125").value() == Fraction(1, 8)
     assert parse_alpha("cf:1~period:2").partials(5) == [1, 2, 2, 2, 2]
     assert parse_alpha("golden").partials(3) == [1, 1, 1]
-    for bad in ["", "x", "1/0", "cf:", "cf:0,2", "cf:1~period:,"]:
+    golden = CFExpansion.preset("golden")
+    for text in ["cf:~period:1", "cf:,~period:1"]:
+        cf = parse_alpha(text)
+        assert cf.partials(40) == golden.partials(40)
+        assert convergents(cf, 20).alpha_exact == convergents(golden, 20).alpha_exact
+    for bad in ["", "x", "1/0", "cf:", "cf:~period:", "cf:0,2", "cf:1~period:,"]:
         with pytest.raises(PrecondError):
             parse_alpha(bad)
 
@@ -129,8 +135,7 @@ def _stored_tail(pre, period):
 )
 @settings(max_examples=100, deadline=None)
 def test_periodic_literal_matches_preperiod_period_oracle(pre, period):
-    # an empty preperiod is written "cf:,~period:..."
-    text = f"cf:{','.join(map(str, pre)) or ','}~period:{','.join(map(str, period))}"
+    text = f"cf:{','.join(map(str, pre))}~period:{','.join(map(str, period))}"
     cf = parse_alpha(text)
     assert not cf.is_finite
 
@@ -368,16 +373,52 @@ def test_cf_tail_examples():
     assert CFExpansion.preset("e-2").tail().partials(10) == [2, 1, 1, 4, 1, 1, 6, 1, 1, 8]
 
 
+def _epsilon_primed_recurrence(rep, tail_table):
+    """eps'_l by suffix sums over the tail table, whose row l-1 is level l of
+    [0; a2, a3, ...]: eps'_l = q'_l sum_{m>l} (-1)^(l+m-1) b_m dist'_m."""
+    acc = Fraction(0)
+    eps = [Fraction(0)] * len(rep.digits)
+    for ell in range(len(rep.digits) - 1, 0, -1):
+        eps[ell] = (-1) ** ell * tail_table.q(ell - 1) * acc
+        acc += rep.digit(ell) * tail_table.theta(ell - 1)
+    return eps
+
+
+def _check_tail_rows(cf, d, Ns):
+    # level l of the tail 1/alpha - a_1 is row l - 1 of its own table; from
+    # alpha's table it is q'_l = p_l, p'_l = q_l - a_1 p_l, theta'_l = -theta_l/alpha
+    t = convergents(cf, d)
+    tt = convergents(cf.tail(), d - 1)
+    alpha, a1 = t.alpha_exact, t.partial(1)
+    assert tt.alpha_exact == 1 / alpha - a1
+    for l in range(d + 1):
+        assert tt.q(l - 1) == t.p(l)
+        assert tt.p(l - 1) == t.q(l) - a1 * t.p(l)
+        assert tt.theta(l - 1) == -t.theta(l) / alpha
+    for N in Ns:
+        rep = ostrowski_encode(N % t.q(d), t)
+        eps = epsilon_vector(rep, t)
+        want = _epsilon_primed_recurrence(rep, tt)
+        assert [-e * t.p(l) / (t.q(l) * alpha) for l, e in enumerate(eps)] == want
+
+
 def test_tail_table_relation():
-    # q'_l = p_l and p'_l = q_l - a_1 p_l, with the tail table shifted by one
     for digits in [[1, 2, 3], [2, 3, 4, 5], [4, 1, 1, 2]]:
         cf = CFExpansion.from_partial_quotients(0, digits)
-        t = convergents(cf, len(digits))
-        tt = convergents(cf.tail(), len(digits) - 1)
-        a1 = t.partial(1)
-        for l in range(1, len(digits) + 1):
-            assert tt.q(l - 1) == t.p(l)
-            assert tt.p(l - 1) == t.q(l) - a1 * t.p(l)
+        _check_tail_rows(cf, len(digits), range(cf.value().denominator))
+    for name in ["golden", "sqrt2inv", "e-2"]:
+        for d in range(2, 16):
+            _check_tail_rows(CFExpansion.preset(name), d, range(0, 10**6, 97_331))
+
+
+@given(
+    st.lists(st.integers(1, 60), min_size=1, max_size=15),
+    st.lists(st.integers(0, 10**12), min_size=1, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_tail_table_relation_random_finite(digits, Ns):
+    cf = CFExpansion.from_partial_quotients(0, digits)
+    _check_tail_rows(cf, len(digits), Ns)
 
 
 def test_drop_first_digit_map_multiset():
@@ -393,9 +434,10 @@ def test_drop_first_digit_map_multiset():
             rep = ostrowski_encode(N, t)
             if rep.digit(1) >= a2:
                 with pytest.raises(PrecondError):
-                    drop_first_digit_map(N, t, tt)
+                    drop_first_digit_map(N, t)
                 continue
-            images.append(drop_first_digit_map(N, t, tt))
+            images.append(drop_first_digit_map(N, t))
+            assert images[-1] == sum(rep.digit(l) * tt.q(l - 1) for l in range(1, L))
         qLp = t.p(L)
         assert sorted(set(images)) == list(range(qLp))
         assert all(images.count(v) == a1 for v in range(qLp))

@@ -348,6 +348,21 @@ def test_mk_shifted_sum_against_brute_force():
     assert abs(num - brute) <= 1e-9
 
 
+def test_mk_denominator_is_the_tail_convergent():
+    # oracle: the denominator sum at level k - 1 of the tail's own table
+    from sudlerlab.cfrac import convergents
+
+    cfs = [CFExpansion.preset(n) for n in ("golden", "sqrt2inv", "e-2")]
+    cfs.append(CFExpansion.from_partial_quotients(0, [3, 1, 4, 1, 5, 9, 2, 6]))
+    for cf in cfs:
+        for k in range(1, 9):
+            t, tt = convergents(cf, k), convergents(cf.tail(), k - 1)
+            num = _shifted_J_logmag(t.p(k), t.q(k), Fraction((-1) ** k * 5, 6 * t.q(k)))
+            qp = tt.q(k - 1)
+            den = _shifted_J_logmag(tt.p(k - 1), qp, Fraction((-1) ** (k - 1) * 5, 6 * qp))
+            assert m_k(cf, k) == num - den
+
+
 def test_mk_depends_only_on_leading_quotients():
     a = CFExpansion.from_partial_quotients(0, [2, 3, 4, 5, 3, 2])
     b = CFExpansion.from_partial_quotients(0, [2, 3, 4, 5, 3, 6, 4])

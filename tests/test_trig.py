@@ -14,6 +14,7 @@ from sudlerlab.cfrac import (
     CFExpansion,
     cf_expand,
     convergents,
+    drop_first_digit_map,
     ostrowski_encode,
 )
 from sudlerlab import trig
@@ -28,7 +29,6 @@ from sudlerlab.trig import (
     cotangent_V,
     cotangent_sum,
     epsilon_vector,
-    epsilon_vector_primed,
     explicit_formula_eval,
     kubert_rhs,
     log_f,
@@ -386,7 +386,8 @@ def test_epsilon_primed_sign_and_zero():
     t = convergents(cf, 3)
     tt = convergents(cf.tail(), 2)
     rep = ostrowski_encode(t.q(3) - 1, t)
-    ev = epsilon_vector_primed(rep, tt)
+    # eps' read from alpha's own table: eps'_l = -eps_l p_l/(q_l alpha)
+    ev = [-e * t.p(l) / (t.q(l) * t.alpha_exact) for l, e in enumerate(epsilon_vector(rep, t))]
     assert ev[0] == 0
     # direct evaluation of the defining sum
     for ell in range(1, 3):
@@ -748,8 +749,11 @@ def test_ql_diff_exhaustive_random_rationals():
             if m == 1 and cf.partial(2) == 1:
                 continue
             for ell in range(1, m + 1):
-                lhs, bound = ql_diff_check(ell, m, t, tt)
+                lhs, bound = ql_diff_check(ell, m, t)
                 assert lhs <= bound
+                # the tail's own table: level l is its row l - 1
+                assert lhs == abs(t.q(ell) * t.dist(m) - tt.q(ell - 1) * tt.dist(m - 1))
+                assert bound == Fraction(2, t.q(ell + 1) * tt.q(m))
         checked += 1
 
 
@@ -760,7 +764,7 @@ def test_ql_diff_diagonal_identity():
     t = convergents(cf, L)
     tt = convergents(cf.tail(), L - 1)
     for m in range(2, L):
-        lhs, _ = ql_diff_check(m, m, t, tt)
+        lhs, _ = ql_diff_check(m, m, t)
         rest = CFExpansion.from_partial_quotients(cf.partial(m + 1), list(cf.partials(L))[m + 1 :])
         r = rest.value()
         want = 1 / ((r * t.q(m) + t.q(m - 1)) * (r * tt.q(m - 1) + tt.q(m - 2)))
@@ -770,8 +774,19 @@ def test_ql_diff_diagonal_identity():
 def test_ql_diff_hypothesis_rejected():
     cf = CFExpansion.from_partial_quotients(0, [1, 1, 1, 1, 1, 1])
     t = convergents(cf, 6)
-    tt = convergents(cf.tail(), 5)
     with pytest.raises(PrecondError):
-        ql_diff_check(1, 1, t, tt)
+        ql_diff_check(1, 1, t)
     with pytest.raises(PrecondError):
-        ql_diff_check(2, 1, t, tt)
+        ql_diff_check(2, 1, t)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cf, t: ql_diff_check(1, 2, t),
+    lambda cf, t: m_k(cf, 2),
+    lambda cf, t: drop_first_digit_map(0, t),
+], ids=["ql_diff_check", "m_k", "drop_first_digit_map"])
+def test_first_quotient_drop_requires_a0_zero(call):
+    # the q'_l = p_l identities hold only when a0 = 0
+    cf = CFExpansion(1, [2, 3, 4])
+    with pytest.raises(PrecondError):
+        call(cf, convergents(cf, 3))

@@ -24,7 +24,7 @@ from sudlerlab.cfrac import (
 from sudlerlab.dist import farey_enumerate
 from sudlerlab.errors import EnumerationCapError, PrecondError
 from sudlerlab.jones import h_eval, vol_41
-from sudlerlab.trig import ENUM_CAP, epsilon_vector, epsilon_vector_primed, shifted_sudler
+from sudlerlab.trig import ENUM_CAP, epsilon_vector, shifted_sudler
 
 
 def _make(digits):
@@ -213,21 +213,19 @@ def test_kashaev_enumeration_cap():
 
 def test_tail_empty_block_is_exact_zero():
     cf, table = _make([3, 2, 4, 3, 2])
-    tail_table = convergents(cf.tail(), cf.L - 1)
     N = _instance(table, {2: 0})
     rep = ostrowski_encode(N, table)
-    lhs, unit = verify._tail_parts(table, tail_table, rep, 2)
+    lhs, unit = verify._tail_parts(table, rep, 2)
     assert lhs == 0.0 and unit > 0
 
 
 def test_tail_level_one_with_unit_quotient_degenerates():
     cf, table = _make([3, 1, 2, 2])
-    tail_table = convergents(cf.tail(), cf.L - 1)
     rep = ostrowski_encode(_instance(table, {1: 1}), table)
     with pytest.raises(PrecondError):
-        verify._tail_parts(table, tail_table, rep, 1)
+        verify._tail_parts(table, rep, 1)
     rep0 = ostrowski_encode(_instance(table, {1: 0}), table)
-    lhs, _ = verify._tail_parts(table, tail_table, rep0, 1)
+    lhs, _ = verify._tail_parts(table, rep0, 1)
     assert lhs == 0.0
 
 
@@ -237,7 +235,7 @@ def test_tail_log_term_carries_large_first_quotient():
     cf, table = _make([40, 2, 3, 2, 2])
     rep = OstrowskiRep((30, 1, 0, 1, 1), table)
     tail_table = convergents(cf.tail(), cf.L - 1)
-    lhs, unit = verify._tail_parts(table, tail_table, rep, 1)
+    lhs, unit = verify._tail_parts(table, rep, 1)
     logterm = math.log(table.partial(1) + 1) / tail_table.q(0)
     assert unit == logterm and logterm > 0
     assert abs(lhs) > 0
@@ -245,12 +243,17 @@ def test_tail_log_term_carries_large_first_quotient():
 
 
 def loop_tail_blocks(table, tail_table, rep, ell):
-    """2 b_ell single-period products, one per block: the oracle of _tail_parts."""
+    """2 b_ell single-period products, one per block: the oracle of _tail_parts.
+
+    The alpha' side reads the tail's own table, whose row l - 1 is level l,
+    and takes eps'_l = q'_l sum_{m>l} (-1)^(l+m-1) b_m dist'_m as a direct sum.
+    """
     sgn = (-1) ** ell
     q_ell, qp_ell = table.q(ell), tail_table.q(ell - 1)
     d, dp = table.dist(ell), tail_table.dist(ell - 1)
     eps = epsilon_vector(rep, table)[ell]
-    eps_p = epsilon_vector_primed(rep, tail_table)[ell]
+    eps_p = qp_ell * sum((-1) ** (ell + m - 1) * rep.digit(m) * tail_table.dist(m - 1)
+                         for m in range(ell + 1, len(rep.digits)))
     lhs = 0.0
     for b in range(rep.digit(ell)):
         sh = Fraction(sgn * (b * q_ell * d + eps), q_ell)
@@ -277,7 +280,7 @@ def test_tail_parts_equals_per_block_sum():
         rep = ostrowski_encode(int(rng.integers(0, q)), table)
         for ell in range(1, cf.L):
             try:
-                lhs, _ = verify._tail_parts(table, tail_table, rep, ell)
+                lhs, _ = verify._tail_parts(table, rep, ell)
             except PrecondError:
                 continue
             want = loop_tail_blocks(table, tail_table, rep, ell)
@@ -288,11 +291,14 @@ def test_tail_parts_equals_per_block_sum():
 
 def test_tail_rejects_bad_level():
     cf, table = _make([3, 2, 4, 3, 2])
-    tail_table = convergents(cf.tail(), cf.L - 1)
     rep = ostrowski_encode(5, table)
     for ell in (0, cf.L):
         with pytest.raises(PrecondError):
-            verify._tail_parts(table, tail_table, rep, ell)
+            verify._tail_parts(table, rep, ell)
+    # alpha' = 1/alpha - a_1 is read from alpha's table only when a0 = 0
+    table = convergents(CFExpansion(1, [3, 2, 4, 3, 2]), 5)
+    with pytest.raises(PrecondError):
+        verify._tail_parts(table, ostrowski_encode(5, table), 2)
 
 
 # -- oscillation over renormalization intervals -------------------------------------
