@@ -22,10 +22,14 @@ u = theta + pi/2 with c = exp(-pi y/2) and
 The integrands are positive and do not oscillate.  V increases from 2/(pi e)
 to infinity, so c V(u) crosses 1 at a single point u*; Gauss-Legendre panels
 graded geometrically toward u* from both sides carry the quadrature, and a
-coarser rule on the same panels guards its convergence.  The CDF grid is
-fixed (StableLaw.grid_lo, grid_hi, grid_step), and the right tail beyond it
-uses 1 - F(y) ~ (2/pi)/y.  `ks_compare` takes a sample in any order, as a
-plain array, and measures its Kolmogorov-Smirnov distance from the law.
+coarser rule on the same panels guards its convergence.  The transition at
+u* is about pi/t^2 wide for t = pi y/2, so the panels go about log2 t levels
+deep: 8 at the grid's top y = 80, 21 at y = 1e6.  Each value is summed on
+its own and depends on y alone, not on the other points of the call.  The
+CDF grid is fixed (StableLaw.grid_lo, grid_hi, grid_step), and the right
+tail beyond it uses 1 - F(y) ~ (2/pi)/y.  `ks_compare` takes a sample in any
+order, as a plain array, and measures its Kolmogorov-Smirnov distance from
+the law.
 
 `sweep` merges the rows of q = 2..N in q order, so F_N comes out in (q, p)
 order with no sort; `_h_rows` reads h from those rows for `estimate_D`, for
@@ -111,13 +115,16 @@ def statistic_partial_quotients(r, N: int) -> float:
 
 # where c V(u) >= 40 both integrands are below 2e-16, so the u-range stops there
 _Z_CUT = math.log(40.0)
-# panels per side of u*, each a quarter as wide as the one before; the last is
-# 4^-20 of the side, enough for the sharp transition at u* when y is large
+# panels per side of u*, each a quarter as wide as the one before, go at most
+# this deep: the panel next to u* is then 4^-20 of the side, about as narrow
+# as the transition at u* at y = 1e6; `_depth` picks fewer levels below that
 _LEVELS = 21
 # pi 2^-40 = 3e-12 puts u* inside the transition even at y = 1e6, where it is
-# about 1e-12 wide
+# pi/t^2 = 1.3e-12 wide
 _BISECTIONS = 40
-_CHUNK = 256  # y values per block: bounds the node arrays at about 1 MB each
+# y values per block: one side's node arrays hold at most 256 x 504 doubles
+# (1 MB) at full depth, and 256 x 192 on the CDF grid
+_CHUNK = 256
 _TOL = 1e-9
 
 
@@ -127,17 +134,28 @@ def _log_V(u: np.ndarray) -> np.ndarray:
     return math.log(2.0 / math.pi) + np.log(ratio) - ratio * np.cos(u)
 
 
-def _graded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on panels of [0, 1] graded toward 1."""
+def _depth(target: np.ndarray) -> np.ndarray:
+    """Panel levels per side of u* for each t = pi y/2.
+
+    Near u = pi, log V(u) ~ pi/(pi - u), so (log V)'(u*) ~ t^2/pi: the
+    transition at u* is about pi/t^2 wide, and the panel next to it, 4^-(L-1)
+    of the side, resolves it once L ~ log2 t.  One level more than that keeps
+    F and g within 1e-15 of the 21-level values from y = -12 to y = 1e6.
+    """
+    levels = np.ceil(np.log2(np.fmax(target, 1.0))) + 1.0
+    return np.clip(levels, 2, _LEVELS).astype(np.int64)
+
+
+@functools.cache
+def _graded_rule(n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on `levels` panels of [0, 1] graded toward 1."""
     x, w = np.polynomial.legendre.leggauss(n)
-    edges = np.append(1.0 - 0.25 ** np.arange(_LEVELS), 1.0)
+    edges = np.append(1.0 - 0.25 ** np.arange(levels), 1.0)
     half = np.diff(edges)[:, None] / 2.0
-    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
-
-
-# the values come from the fine rule; the coarse one is the convergence guard
-_FINE = _graded_rule(24)
-_COARSE = _graded_rule(20)
+    rule = (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _crossing(target: np.ndarray) -> np.ndarray:
@@ -153,7 +171,12 @@ def _crossing(target: np.ndarray) -> np.ndarray:
 
 
 def _panel_sums(rule, target, u_star, u_cut):
-    """F and g on one block by one rule over [0, u*] and [u*, u_cut]."""
+    """F and g on one block by one rule over [0, u*] and [u*, u_cut].
+
+    Each row is summed on its own, so a value does not depend on its block; a
+    matrix product would go through BLAS, which sums in an order set by the
+    block's shape.
+    """
     t, w = rule
     F = np.zeros_like(target)
     g = np.zeros_like(target)
@@ -163,30 +186,37 @@ def _panel_sums(rule, target, u_star, u_cut):
     ):
         cV = np.exp(np.minimum(_log_V(u) - target[:, None], _Z_CUT))
         f = np.exp(-cV)
-        F += width * (f @ w)
-        g += width * ((cV * f) @ w)
+        F += width * (f * w).sum(axis=1)
+        g += width * (cV * f * w).sum(axis=1)
     return F / math.pi, g / 2.0
 
 
 def _nolan(y) -> tuple[np.ndarray, np.ndarray]:
     """F(y) and g(y) at each y (flattened) by Nolan's integrals."""
     y = np.atleast_1d(np.asarray(y, dtype=np.float64)).ravel()
+    # c V(u*) = 1 at the crossing u*: the g integrand peaks there and the
+    # F integrand falls from 1 to 0 around it
+    target = (math.pi / 2.0) * y
+    depth = _depth(target)
     F = np.empty_like(y)
     g = np.empty_like(y)
-    for i in range(0, y.size, _CHUNK):
-        # c V(u*) = 1 at the crossing u*: the g integrand peaks there and the
-        # F integrand falls from 1 to 0 around it
-        target = (math.pi / 2.0) * y[i : i + _CHUNK]
-        u_star, u_cut = _crossing(np.stack([target, target + _Z_CUT]))
-        Ff, gf = _panel_sums(_FINE, target, u_star, u_cut)
-        Fc, gc = _panel_sums(_COARSE, target, u_star, u_cut)
-        err = max(np.max(np.abs(Ff - Fc)), np.max(np.abs(gf - gc)))
-        if not err <= _TOL:
-            raise QuadratureError(
-                f"stable-law quadrature rules differ by {err:.3g} > {_TOL}"
-            )
-        F[i : i + _CHUNK] = Ff
-        g[i : i + _CHUNK] = gf
+    for levels in np.unique(depth).tolist():
+        fine, coarse = _graded_rule(24, levels), _graded_rule(20, levels)
+        group = np.flatnonzero(depth == levels)
+        for i in range(0, group.size, _CHUNK):
+            block = group[i : i + _CHUNK]
+            tb = target[block]
+            u_star, u_cut = _crossing(np.stack([tb, tb + _Z_CUT]))
+            # the values come from the fine rule; the coarse one is the guard
+            Ff, gf = _panel_sums(fine, tb, u_star, u_cut)
+            Fc, gc = _panel_sums(coarse, tb, u_star, u_cut)
+            err = max(np.max(np.abs(Ff - Fc)), np.max(np.abs(gf - gc)))
+            if not err <= _TOL:
+                raise QuadratureError(
+                    f"stable-law quadrature rules differ by {err:.3g} > {_TOL}"
+                )
+            F[block] = Ff
+            g[block] = gf
     return F, g
 
 

@@ -440,8 +440,10 @@ def test_dist_rejects_small_ncap_before_sweep(tmp_path, capsys, monkeypatch):
 
 
 def test_dist_unconverged_stable_law_exits_4(capsys, monkeypatch):
-    # a 3-point guard rule cannot match the fine rule, so the grid build fails
-    monkeypatch.setattr(dist, "_COARSE", dist._graded_rule(3))
+    # three panel levels short of the depth rule, the fine and guard rules
+    # part by more than the tolerance on the grid, so the grid build fails
+    depth = dist._depth
+    monkeypatch.setattr(dist, "_depth", lambda t: np.maximum(depth(t) - 3, 1))
     monkeypatch.setattr(cli, "_default_law", dist.StableLaw)
     rc, _, err = run(["dist", "--N", "50"], capsys)
     assert rc == 4 and "quadrature did not converge" in err

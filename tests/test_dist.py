@@ -8,6 +8,8 @@ algorithm, and reaches far into the right tail.
 """
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +33,7 @@ from sudlerlab.dist import (
     statistic_partial_quotients,
     sweep,
 )
-from sudlerlab.errors import PrecondError
+from sudlerlab.errors import PrecondError, QuadratureError
 from sudlerlab.jones import jones_J, vol_41
 
 # (y, pdf, cdf) from scipy.stats.levy_stable(alpha=1, beta=1)
@@ -134,6 +136,54 @@ def test_quantile_rejects_endpoints(law):
 
 def test_sample_self_consistency(law):
     assert ks_compare(law.sample(10**4, seed=5), law) <= 0.02
+
+
+# -- stable-law quadrature depth ------------------------------------------------------
+
+
+def test_grid_values_equal_one_point_values(law):
+    # a value depends on its y alone, not on the block it was evaluated in
+    ys = np.arange(law.grid_lo, law.grid_hi + law.grid_step, law.grid_step)
+    F, g = law.cdf_exact(ys), law.density(ys)
+    for i in range(0, ys.size, 37):
+        assert law.cdf_exact(ys[i])[0] == F[i]
+        assert law.density(ys[i]) == g[i]
+
+
+_STABLE_Y = st.one_of(
+    st.floats(-12.0, 80.0),
+    st.floats(math.log(80.0), math.log(1e6)).map(math.exp),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_STABLE_Y, min_size=1, max_size=40))
+def test_depth_rule_matches_full_depth(ys):
+    F, g = dist._nolan(ys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist, "_depth", lambda t: np.full(t.shape, dist._LEVELS))
+        F_full, g_full = dist._nolan(ys)
+    assert np.max(np.abs(F - F_full)) <= 2e-15
+    assert np.max(np.abs(g - g_full)) <= 2e-15
+
+
+@pytest.mark.parametrize("y", [8.0, 20.0, 40.0, 80.0])
+def test_guard_rejects_depth_three_levels_short(monkeypatch, y):
+    depth = dist._depth
+    monkeypatch.setattr(dist, "_depth", lambda t: np.maximum(depth(t) - 3, 1))
+    with pytest.raises(QuadratureError):
+        dist._nolan(y)
+
+
+def test_import_builds_no_quadrature_rule():
+    code = (
+        "import sudlerlab.cli; from sudlerlab import dist; "
+        "print(dist._graded_rule.cache_info().currsize)"
+    )
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0"
 
 
 # -- empirical side -----------------------------------------------------------------
