@@ -4,7 +4,7 @@
 from dist._h_rows; `scan --near` calls h_eval once per fraction of its
 window.  Every subcommand opens its output (`--out`, and `--report` for
 `dist`) before any evaluation, so a bad path fails at once; `eval` writes
-its record there too.
+its record there too.  A size past trig.ENUM_CAP is refused before that.
 Outputs are deterministic: CSV files carry a header row, '.' decimals and
 17 significant digits, and rerunning a command with the same config and
 inputs reproduces the bytes exactly.  Each CSV output states its header and
@@ -50,6 +50,7 @@ from sudlerlab.errors import (
     ZeroFactorError,
 )
 from sudlerlab.jones import h_eval, vol_41
+from sudlerlab.trig import ENUM_CAP
 
 ENV_CONFIG = "SUDLERLAB_CONFIG"
 
@@ -219,6 +220,8 @@ def cmd_scan(args: argparse.Namespace, cfg: Config) -> int:
         raise PrecondError("--near and --radius go together")
     if args.near is not None and not (math.isfinite(args.near) and math.isfinite(args.radius)):
         raise PrecondError(f"--near and --radius must be finite, got {args.near}, {args.radius}")
+    if args.near is None and args.qmax > ENUM_CAP:
+        raise EnumerationCapError(f"N {args.qmax} exceeds cap {ENUM_CAP}")
     with _open_out(cfg.output_path) as out:
         if args.near is None:
             table = sweep(args.qmax, threads=cfg.threads)
@@ -237,11 +240,10 @@ def cmd_scan(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
-    kwargs = {}
-    if args.suite == "continuity":
-        kwargs["qcap"] = cfg.qcap
-    elif args.suite == "th3":
-        kwargs["Ncap"] = cfg.Ncap
+    kwargs = {"continuity": {"qcap": cfg.qcap}, "th3": {"Ncap": cfg.Ncap}}.get(args.suite, {})
+    for name, size in kwargs.items():
+        if size > ENUM_CAP:
+            raise EnumerationCapError(f"{name} {size} exceeds cap {ENUM_CAP}")
     with _open_out(cfg.output_path) as out:
         cases = verify.run_suite(args.suite, **kwargs)
         _write_rows(out, VERIFY_CSV, (
@@ -262,6 +264,8 @@ def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:
     Ncap = min(args.N, cfg.Ncap)
     if Ncap < 50:
         raise PrecondError(f"min(--N, --ncap) must be >= 50, got {Ncap}")
+    if args.N > ENUM_CAP:
+        raise EnumerationCapError(f"N {args.N} exceeds cap {ENUM_CAP}")
     with contextlib.ExitStack() as files:
         # both outputs are opened before the sweep, so a bad path fails at once
         out = files.enter_context(_open_out(cfg.output_path))

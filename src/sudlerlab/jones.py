@@ -26,15 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from sudlerlab.cfrac import CFExpansion, cf_expand, convergents
-from sudlerlab.errors import EnumerationCapError, PrecondError, ZeroFactorError
-from sudlerlab.trig import (
-    ENUM_CAP,
-    _first_zero,
-    _logf_residues,
-    _logsumexp,
-    _logsumexp_rows,
-    _shift_residues,
-)
+from sudlerlab.errors import EnumerationCapError, PrecondError
+from sudlerlab.trig import ENUM_CAP, _logsumexp, _logsumexp_rows, _prefix_logs
 
 __all__ = [
     "HValue",
@@ -225,20 +218,6 @@ def telescoping_logJ(r) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _shifted_J_logmag(p: int, q: int, shift: Fraction) -> float:
-    """log of sum_{N<q} P_N(p/q, shift)^2 with exact residue arithmetic."""
-    if q == 1:
-        return 0.0
-    res, den = _shift_residues(Fraction(p, q), shift, q - 1)
-    bad = _first_zero(res)
-    if bad:
-        raise ZeroFactorError(f"shifted factor n={bad} vanishes", n=bad)
-    prefix = np.empty(q)
-    prefix[0] = 0.0
-    np.cumsum(_logf_residues(res, den), out=prefix[1:])
-    return _logsumexp(2.0 * prefix)
-
-
 def m_k(cf: CFExpansion, k: int) -> float:
     """M_k: log ratio of 5/6-shifted Jones-type sums at level k.
 
@@ -247,14 +226,15 @@ def m_k(cf: CFExpansion, k: int) -> float:
     first-digit-dropped 1/alpha - a_1 with the opposite sign.  Requires
     a0 = 0; depends only on the first k partial quotients.  Raises
     EnumerationCapError, before allocating, when a sum has more than
-    trig.ENUM_CAP terms (the cap of trig._residues).
+    trig.ENUM_CAP terms.
     """
     if k < 1:
         raise PrecondError(f"need k >= 1, got {k}")
     if cf.a0 != 0:
         raise PrecondError("m_k requires a0 = 0")
     t = convergents(cf, k)
-    num = _shifted_J_logmag(t.p(k), t.q(k), Fraction((-1) ** k * 5, 6 * t.q(k)))
-    pp, qp = t.q(k) - t.partial(1) * t.p(k), t.p(k)
-    den = _shifted_J_logmag(pp, qp, Fraction((-1) ** (k - 1) * 5, 6 * qp))
+    p, q = t.p(k), t.q(k)
+    shift = Fraction((-1) ** k * 5, 6)
+    num = _logsumexp(2.0 * _prefix_logs(Fraction(p, q), shift / q, q - 1))
+    den = _logsumexp(2.0 * _prefix_logs(Fraction(q - t.partial(1) * p, p), -shift / p, p - 1))
     return num - den

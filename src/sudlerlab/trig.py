@@ -7,6 +7,7 @@ immediately) as plain floats, with -inf the log of a product that has a
 vanishing factor.  The module provides:
 
   * direct prefix products P_N(alpha) and shifted products P_N(alpha, x),
+    all read from one exact walk (_walk) and its prefix logs (_prefix_logs),
   * the digit-wise product form of P_N over an Ostrowski representation,
     together with the shift corrections eps_l,
   * shifted cotangent sums and the weighted cotangent sum V_l,
@@ -184,18 +185,13 @@ def sudler_prefix_logmags(r: Fraction, N_max: int) -> np.ndarray:
     vanishes.  Raises EnumerationCapError, before anything is allocated,
     when the N_max + 1 entries exceed ENUM_CAP.
     """
-    r = Fraction(r)
-    q = r.denominator
+    q = Fraction(r).denominator
     if not 0 <= N_max < q:
         raise PrecondError(
             f"need 0 <= N_max < den(r); got N_max={N_max}, den={q}"
             " (the factor at n = den vanishes)"
         )
-    if N_max + 1 > ENUM_CAP:
-        raise EnumerationCapError(f"N_max + 1 = {N_max + 1} exceeds cap {ENUM_CAP}")
-    out = np.zeros(N_max + 1)
-    np.cumsum(_logf_residues(_residues(r.numerator, q, N_max), q), out=out[1:])
-    return out
+    return _prefix_logs(r, 0, N_max)
 
 
 def _residues(P: int, Q: int, m: int, off: int = 0) -> np.ndarray:
@@ -227,37 +223,44 @@ def _logf_residues(r: np.ndarray, Q: int) -> np.ndarray:
     return np.log(2.0 * np.sin(np.pi * _ratios(np.minimum(r, Q - r), Q)))
 
 
-def _shift_residues(alpha, x, N: int) -> tuple[np.ndarray, int]:
-    """(r, den) with n alpha + x = r[n - 1]/den mod 1 exactly, n = 1..N."""
+def _walk(alpha, x, N: int, vanish: type) -> tuple[np.ndarray, int]:
+    """(r, den) with n alpha + x = r[n - 1]/den mod 1 exactly, n = 1..N.
+
+    Raises PrecondError for N < 0, and vanish (ZeroFactorError or PoleError)
+    carrying n at the first zero residue; _residues enforces ENUM_CAP.
+    """
+    if N < 0:
+        raise PrecondError(f"N must be >= 0, got {N}")
     af, xf = Fraction(alpha), Fraction(x)
     den = math.lcm(af.denominator, xf.denominator)
     step = af.numerator * (den // af.denominator)
-    return _residues(step, den, N, xf.numerator * (den // xf.denominator)), den
+    res = _residues(step, den, N, xf.numerator * (den // xf.denominator))
+    if not res.all():
+        n = int(np.flatnonzero(res == 0)[0]) + 1
+        raise vanish(f"n alpha + x is an integer at n={n}", n=n)
+    return res, den
 
 
-def _first_zero(res: np.ndarray) -> int:
-    """1-based index of the first zero residue, or 0 when there is none."""
-    zeros = np.flatnonzero(res == 0)
-    return int(zeros[0]) + 1 if zeros.size else 0
+def _prefix_logs(alpha, x, N: int) -> np.ndarray:
+    """log P_n(alpha, x) for n = 0..N along _walk; entry 0 is the empty product.
+
+    More than ENUM_CAP entries are refused before anything is allocated.
+    """
+    if N + 1 > ENUM_CAP:
+        raise EnumerationCapError(f"N + 1 = {N + 1} exceeds cap {ENUM_CAP}")
+    res, den = _walk(alpha, x, N, ZeroFactorError)
+    out = np.zeros(N + 1)
+    np.cumsum(_logf_residues(res, den), out=out[1:])
+    return out
 
 
 def shifted_sudler(alpha, x, N: int) -> float:
     """log P_N(alpha, x) = sum_{n=1..N} log|2 sin(pi (n alpha + x))|.
 
-    alpha and x are exact rationals; the factors run over exact residues mod
-    their common denominator, and an exactly vanishing factor raises
-    ZeroFactorError carrying the offending index n.  N > ENUM_CAP raises
-    EnumerationCapError before anything is allocated.
+    alpha and x are exact rationals; the factors run over the exact residues
+    of _walk, which raises ZeroFactorError at a vanishing factor.
     """
-    if N < 0:
-        raise PrecondError(f"N must be >= 0, got {N}")
-    if N == 0:
-        return 0.0
-    res, den = _shift_residues(alpha, x, N)
-    n = _first_zero(res)
-    if n:
-        raise ZeroFactorError(f"factor n={n} vanishes exactly", n=n)
-    return math.fsum(_logf_residues(res, den))
+    return math.fsum(_logf_residues(*_walk(alpha, x, N, ZeroFactorError)))
 
 
 def kubert_rhs(r, x) -> float:
@@ -373,19 +376,10 @@ def product_form_logs(table: ConvergentTable, K: int) -> np.ndarray:
 def cotangent_sum(alpha, x, N: int) -> float:
     """sum_{n=1..N} cot(pi (n alpha + x)) with compensated summation.
 
-    alpha and x are exact rationals, so poles are detected exactly; the
-    offending index travels on the raised PoleError.  N > ENUM_CAP raises
-    EnumerationCapError before anything is allocated.
+    alpha and x are exact rationals, so _walk detects poles exactly and
+    raises PoleError carrying the offending index.
     """
-    if N < 0:
-        raise PrecondError(f"N must be >= 0, got {N}")
-    if N == 0:
-        return 0.0
-    res, den = _shift_residues(alpha, x, N)
-    n = _first_zero(res)
-    if n:
-        raise PoleError(f"cot pole at n={n}", n=n)
-    return math.fsum(1.0 / np.tan(np.pi * _ratios(res, den)))
+    return math.fsum(1.0 / np.tan(np.pi * _ratios(*_walk(alpha, x, N, PoleError))))
 
 
 def cotangent_V(ell: int, x: float, table: ConvergentTable) -> float:

@@ -45,10 +45,11 @@ from sudlerlab.cfrac import (
 )
 from sudlerlab.dist import _h_rows, _psi_rows, sweep
 from sudlerlab.errors import EnumerationCapError, PrecondError
-from sudlerlab.jones import h_eval, telescoping_logJ, vol_41, _shifted_J_logmag
+from sudlerlab.jones import h_eval, telescoping_logJ, vol_41
 from sudlerlab.trig import (
     ENUM_CAP,
     _logsumexp,
+    _prefix_logs,
     cotangent_sum,
     cotangent_V,
     epsilon_vector,
@@ -290,8 +291,9 @@ def _kashaev_parts(cf: CFExpansion, k: int, K: int, A: float):
     qK = table.q(K)
     mags = _prefix_mags(table)[:qK]
     lhs = _logsumexp(2.0 * mags)
-    head = _shifted_J_logmag(table.p(k), table.q(k),
-                             Fraction((-1) ** k * 5, 6 * table.q(k)))
+    q_k = table.q(k)
+    shift = Fraction((-1) ** k * 5, 6 * q_k)
+    head = _logsumexp(2.0 * _prefix_logs(Fraction(table.p(k), q_k), shift, q_k - 1))
     keep = ~ostrowski_digits(table, qK)[:k].any(axis=0)
     tail = _logsumexp(2.0 * mags[keep])
     err = abs(lhs - head - tail)
@@ -347,20 +349,20 @@ def _tail_parts(table: ConvergentTable, rep: OstrowskiRep, ell: int):
 
 
 def oscillation(cf: CFExpansion, k: int, qcap: int = QCAP) -> tuple[float, float]:
-    """Oscillation of h over I_(k+1) and the theorem-shaped envelope.
+    """Oscillation of h over I_(k+2) and the theorem-shaped envelope.
 
-    osc is max - min of h over the rationals in the closed interval I_(k+1)
-    with denominator at most qcap; the envelope combines xi_k with the tail
-    terms at scale q_k/a_1.  Raises when the interval holds no such rational,
-    and raises EnumerationCapError, before enumerating, when qcap exceeds
-    trig.ENUM_CAP, the largest denominator of a Jones sum.
+    osc is max - min of h over the rationals, denominator at most qcap, in
+    the closed interval I_(k+2) = interval_Ik(cf, k + 1): the reals whose
+    first k + 2 partial quotients are alpha's.  The envelope combines xi_k
+    with the tail terms at scale q_k/a_1.  Raises when the interval holds no
+    such rational, and EnumerationCapError when qcap exceeds trig.ENUM_CAP.
     """
     if qcap > ENUM_CAP:
         raise EnumerationCapError(f"qcap {qcap} exceeds cap {ENUM_CAP}")
     lo, hi = interval_Ik(cf, k + 1)
     hs = [h_eval(r).h for r in rationals_in_interval(lo, hi, qcap)]
     if not hs:
-        raise PrecondError(f"no rationals with denominator <= {qcap} in I_(k+1)")
+        raise PrecondError(f"no rationals with denominator <= {qcap} in I_(k+2)")
     osc = max(hs) - min(hs)
     table = convergents(cf, k + 1)
     a1 = table.partial(1)
@@ -739,7 +741,7 @@ def cotangent_cases(seed: int = 0) -> list[CheckCase]:
 
 
 def continuity_cases(qcap: int = QCAP) -> list[CheckCase]:
-    """Oscillation of h over I_(k+1) for the e-2 preset at its large quotients."""
+    """Oscillation of h over I_(k+2) for the e-2 preset at its large quotients."""
     cf = CFExpansion.preset("e-2")
     cases = []
     oscs = []

@@ -529,6 +529,21 @@ def test_sweep_past_enum_cap_exits_4(argv, capsys):
     assert rc == 4 and err.startswith("resource cap:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["dist", "--N", "3000000"],
+    ["scan", "--qmax", "3000000"],
+    ["verify", "--suite", "continuity", "--qcap", "2097153"],
+    ["verify", "--suite", "th3", "--ncap", "2097153"],
+], ids=["dist", "scan", "continuity", "th3"])
+def test_refused_cap_keeps_existing_out(argv, tmp_path, capsys):
+    # the cap is refused before --out is opened, so the file keeps its bytes
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"kept\n")
+    rc, _, err = run(argv + ["--out", str(path)], capsys)
+    assert rc == 4 and err.startswith("resource cap:")
+    assert path.read_bytes() == b"kept\n"
+
+
 # -- config ----------------------------------------------------------------------
 
 

@@ -19,10 +19,9 @@ from sudlerlab.jones import (
     psi_heuristic,
     telescoping_logJ,
     vol_41,
-    _shifted_J_logmag,
 )
 from sudlerlab.cfrac import CFExpansion, cf_expand
-from sudlerlab.trig import _logsumexp, sudler_prefix_logmags
+from sudlerlab.trig import _logsumexp, _prefix_logs, sudler_prefix_logmags
 
 
 def brute_J(p, q):
@@ -34,6 +33,11 @@ def brute_J(p, q):
             prod *= (2.0 * math.sin(math.pi * N * p / q)) ** 2
         total += prod
     return total
+
+
+def shifted_logJ(p, q, shift):
+    """log sum_{N<q} P_N(p/q, shift)^2 along the exact walk."""
+    return _logsumexp(2.0 * _prefix_logs(Fraction(p, q), shift, q - 1))
 
 
 def brute_shifted_J(p, q, shift):
@@ -329,7 +333,7 @@ def test_m1_reduction():
     # denominator sum at k=1 has a single N=0 term, so M_1 is the numerator alone
     cf = CFExpansion.from_partial_quotients(0, [3, 2, 5])
     got = m_k(cf, 1)
-    want = _shifted_J_logmag(1, 3, Fraction(-5, 18))
+    want = shifted_logJ(1, 3, Fraction(-5, 18))
     assert got == want
     brute = math.log(brute_shifted_J(1, 3, -5.0 / 18.0))
     assert abs(got - brute) <= 1e-10
@@ -343,7 +347,7 @@ def test_mk_shifted_sum_against_brute_force():
         assert math.isfinite(m_k(cf, k))
     # spot-check the k=2 numerator via brute-force floats
     t = convergents(cf, 2)
-    num = _shifted_J_logmag(t.p(2), t.q(2), Fraction(5, 6 * t.q(2)))
+    num = shifted_logJ(t.p(2), t.q(2), Fraction(5, 6 * t.q(2)))
     brute = math.log(brute_shifted_J(t.p(2), t.q(2), 5.0 / (6.0 * t.q(2))))
     assert abs(num - brute) <= 1e-9
 
@@ -357,9 +361,9 @@ def test_mk_denominator_is_the_tail_convergent():
     for cf in cfs:
         for k in range(1, 9):
             t, tt = convergents(cf, k), convergents(cf.tail(), k - 1)
-            num = _shifted_J_logmag(t.p(k), t.q(k), Fraction((-1) ** k * 5, 6 * t.q(k)))
+            num = shifted_logJ(t.p(k), t.q(k), Fraction((-1) ** k * 5, 6 * t.q(k)))
             qp = tt.q(k - 1)
-            den = _shifted_J_logmag(tt.p(k - 1), qp, Fraction((-1) ** (k - 1) * 5, 6 * qp))
+            den = shifted_logJ(tt.p(k - 1), qp, Fraction((-1) ** (k - 1) * 5, 6 * qp))
             assert m_k(cf, k) == num - den
 
 

@@ -18,7 +18,7 @@ from sudlerlab.cfrac import (
     ostrowski_encode,
 )
 from sudlerlab import trig
-from sudlerlab.jones import _shifted_J_logmag, m_k
+from sudlerlab.jones import m_k
 from sudlerlab.errors import (
     EnumerationCapError,
     PoleError,
@@ -534,12 +534,19 @@ def test_exact_zero_residue_carries_first_n():
         with pytest.raises(PoleError) as exc:
             cotangent_sum(alpha, x, N)
         assert exc.value.n == n0
+        with pytest.raises(ZeroFactorError) as exc:
+            trig._prefix_logs(alpha, x, N)
+        assert exc.value.n == n0
         # one factor short of the zero, both sums are finite
         assert math.isfinite(shifted_sudler(alpha, x, n0 - 1))
         assert math.isfinite(cotangent_sum(alpha, x, n0 - 1))
+    # a shifted Jones sum stops at the same first zero
     with pytest.raises(ZeroFactorError) as exc:
-        _shifted_J_logmag(89, 233, Fraction(-5 * 89, 233))
+        trig._logsumexp(2.0 * trig._prefix_logs(Fraction(89, 233), Fraction(-5 * 89, 233), 232))
     assert exc.value.n == 5
+    for walk in (shifted_sudler, cotangent_sum, trig._prefix_logs):
+        with pytest.raises(PrecondError):
+            walk(Fraction(89, 233), 0, -1)
 
 
 # -- exact residues ------------------------------------------------------------
@@ -626,6 +633,23 @@ def test_exact_paths_match_fraction_loops(a, b, c, d, N, hit):
             assert got == want
         else:
             assert abs(got - want) <= 1e-13 * (1 + abs(want))
+
+
+@given(_coprime_fractions(), st.integers(-3000, 3000), st.integers(1, 3000), st.data())
+@settings(max_examples=200, deadline=None)
+def test_prefix_logs_is_the_walk_behind_both_products(r, c, d, data):
+    N = data.draw(st.integers(0, r.denominator - 1))
+    # unshifted, the walk is sudler_prefix_logmags bit for bit
+    assert trig._prefix_logs(r, 0, N).tobytes() == sudler_prefix_logmags(r, N).tobytes()
+    # shifted, its last entry is the shifted product, or both stop at one zero
+    x = Fraction(c, d)
+    kind, got = _outcome(lambda: trig._prefix_logs(r, x, N)[-1])
+    want_kind, want = _outcome(shifted_sudler, r, x, N)
+    assert kind == want_kind
+    if kind == "zero":
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 # -- cotangent sums -----------------------------------------------------------

@@ -19,7 +19,9 @@ from sudlerlab.cfrac import (
     OstrowskiRep,
     cf_expand,
     convergents,
+    interval_Ik,
     ostrowski_encode,
+    rationals_in_interval,
 )
 from sudlerlab.dist import farey_enumerate
 from sudlerlab.errors import EnumerationCapError, PrecondError
@@ -319,6 +321,24 @@ def test_oscillation_decreases_with_level():
     osc4, _ = verify.oscillation(cf, 4, qcap=2000)
     osc7, _ = verify.oscillation(cf, 7, qcap=2000)
     assert osc4 > osc7 > 0
+
+
+def test_oscillation_measures_I_k_plus_2():
+    # interval_Ik(cf, k + 1) is I_(k+2): the endpoint denominators are
+    # q_(k+2) and q_(k+2) + q_(k+1), so the k = 10 row's 7 rationals below
+    # 6 * 10^4 all have q >= q_12 = 9545
+    cf = CFExpansion.preset("e-2")
+    ends = {
+        4: (Fraction(28, 39), Fraction(51, 71)),
+        7: (Fraction(719, 1001), Fraction(385, 536)),
+        10: (Fraction(6856, 9545), Fraction(12993, 18089)),
+    }
+    for k, (lo, hi) in ends.items():
+        assert interval_Ik(cf, k + 1) == (lo, hi)
+    rs = list(rationals_in_interval(*ends[10], 6 * 10**4))
+    assert len(rs) == 7 and min(r.denominator for r in rs) == 9545
+    hs = [h_eval(r).h for r in rs]
+    assert verify.oscillation(cf, 10, 6 * 10**4)[0] == max(hs) - min(hs)
 
 
 def test_oscillation_cap():
