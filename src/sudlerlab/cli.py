@@ -1,10 +1,14 @@
 """Command-line front end: eval, scan, verify, and dist subcommands.
 
-`dist` and `scan` without `--near` read one dist.sweep table of F_N, with h
-from dist._h_rows; `scan --near` calls h_eval once per fraction of its
-window.  Every subcommand opens its output (`--out`, and `--report` for
+`scan` without `--near` reads one dist.sweep table of F_N, with h from
+dist._h_rows; `scan --near` calls h_eval once per fraction of its window.
+`dist` never holds the table: it writes the rows of dist._sweep_blocks a
+block at a time and keeps only the statistic column it compares with the
+stable law.  Every subcommand opens its output (`--out`, and `--report` for
 `dist`) before any evaluation, so a bad path fails at once; `eval` writes
-its record there too.  A size past trig.ENUM_CAP is refused before that.
+its record there too.  A size past trig.ENUM_CAP is refused before that:
+`eval` checks both denominators h reads, and `scan --near` builds its window
+first and checks the window's denominators.
 Outputs are deterministic: CSV files carry a header row, '.' decimals and
 17 significant digits, and rerunning a command with the same config and
 inputs reproduces the bytes exactly.  Each CSV output states its header and
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import os
 import sys
@@ -33,13 +38,15 @@ import numpy as np
 from sudlerlab import cfrac, verify
 from sudlerlab.cfrac import cf_expand
 from sudlerlab.dist import (
+    _KS_CHUNK,
     _D_from_rows,
     _default_law,
     _h_rows,
+    _ks_sorted,
     _psi_rows,
     _stat_logJ_from_mag,
     _stat_pq_from_sum,
-    ks_compare,
+    _sweep_blocks,
     sweep,
 )
 from sudlerlab.errors import (
@@ -153,9 +160,9 @@ def _array_rows(*columns):
     """Rows of equal-length arrays as Python scalars, converted a chunk at a time.
 
     Whole-column tolist would hold every row as Python objects at once; chunks
-    of 2^14 rows bound that memory whatever the file's length.
+    of 2^12 rows bound that memory whatever the file's length.
     """
-    step = 1 << 14
+    step = 1 << 12
     for i in range(0, len(columns[0]), step):
         yield from zip(*[c[i : i + step].tolist() for c in columns])
 
@@ -181,6 +188,10 @@ def parse_x(text: str) -> Fraction:
 
 def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     r = parse_x(args.x)
+    # h_eval reads the Jones sums of x and of 1/x, in that order
+    for q in (r.denominator, abs(r.numerator)):
+        if q > ENUM_CAP:
+            raise EnumerationCapError(f"denominator q = {q} exceeds cap {ENUM_CAP}")
     with _open_out(cfg.output_path) as out:
         hv = h_eval(r)
         cf = cf_expand(hv.x)
@@ -222,13 +233,18 @@ def cmd_scan(args: argparse.Namespace, cfg: Config) -> int:
         raise PrecondError(f"--near and --radius must be finite, got {args.near}, {args.radius}")
     if args.near is None and args.qmax > ENUM_CAP:
         raise EnumerationCapError(f"N {args.qmax} exceeds cap {ENUM_CAP}")
+    if args.near is not None:
+        window = _scan_fractions(args.qmax, args.near, args.radius)
+        # the first q past the cap in the window's order, where h_eval would stop
+        over = [r.denominator for r in window if r.denominator > ENUM_CAP]
+        if over:
+            raise EnumerationCapError(f"denominator q = {over[0]} exceeds cap {ENUM_CAP}")
     with _open_out(cfg.output_path) as out:
         if args.near is None:
             table = sweep(args.qmax, threads=cfg.threads)
             p, q = table["p"], table["q"]
             x, h = _h_rows(table)
         else:
-            window = _scan_fractions(args.qmax, args.near, args.radius)
             p = np.array([r.numerator for r in window], dtype=np.int64)
             q = np.array([r.denominator for r in window], dtype=np.int64)
             x = p / q
@@ -270,26 +286,47 @@ def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:
         # both outputs are opened before the sweep, so a bad path fails at once
         out = files.enter_context(_open_out(cfg.output_path))
         report = files.enter_context(_open_out(args.report)) if args.report else None
-        table = sweep(args.N, threads=cfg.threads)
-        D = _D_from_rows(table[table["q"] <= Ncap], Ncap)
-        stat_logJ = _stat_logJ_from_mag(table["logJ"], args.N, D)
-        stat_pq = _stat_pq_from_sum(table["sum_a"], args.N)
-        _write_rows(out, DIST_CSV, _array_rows(
-            table["p"], table["q"], table["sum_a"], table["logJ"], stat_logJ, stat_pq))
+        blocks = _sweep_blocks(args.N, threads=cfg.threads)
+        # D needs all of F_Ncap: the blocks up to the one that reaches q = Ncap
+        head = []
+        for rows in blocks:
+            head.append(rows)
+            if rows["q"][-1] >= Ncap:
+                break
+        D = _D_from_rows(np.concatenate([b[b["q"] <= Ncap] for b in head]), Ncap)
+        kept = []  # the --stat column of each block
+
+        def lines():
+            for rows in itertools.chain(head, blocks):
+                stat_logJ = _stat_logJ_from_mag(rows["logJ"], args.N, D)
+                stat_pq = _stat_pq_from_sum(rows["sum_a"], args.N)
+                kept.append(stat_logJ if args.stat == "logJ" else stat_pq)
+                yield from _array_rows(rows["p"], rows["q"], rows["sum_a"], rows["logJ"],
+                                       stat_logJ, stat_pq)
+
+        _write_rows(out, DIST_CSV, lines())
+        values = np.concatenate(kept)
+        del kept  # before the stable law's grid is built
+        values.sort()
         law = _default_law()
-        values = stat_logJ if args.stat == "logJ" else stat_pq
         n = values.size
-        ks = ks_compare(values, law)
+        ks = _ks_sorted(values, law)
         print(f"stat = {args.stat}")
         print(f"n = {n}")
         print(f"KS = {_fmt(ks)}")
         if args.stat == "logJ":
             print(f"D = {_fmt(D)}  (estimated over F_{Ncap})")
         if report is not None:
-            ys = np.sort(values)
-            _write_rows(report, REPORT_CSV,
-                        _array_rows(ys, np.arange(1, n + 1) / n, law.cdf(ys)))
+            _write_rows(report, REPORT_CSV, _report_rows(values, law))
     return 0
+
+
+def _report_rows(ys: np.ndarray, law):
+    """(y, i/n, F(y)) of a sorted sample, the law's CDF read a slice at a time."""
+    n = ys.size
+    for lo in range(0, n, _KS_CHUNK):
+        y = ys[lo : lo + _KS_CHUNK]
+        yield from _array_rows(y, np.arange(lo + 1, lo + y.size + 1) / n, law.cdf(y))
 
 
 # -- driver --------------------------------------------------------------------------

@@ -28,16 +28,21 @@ deep: 8 at the grid's top y = 80, 21 at y = 1e6.  Each value is summed on
 its own and depends on y alone, not on the other points of the call.  The
 CDF grid is fixed (StableLaw.grid_lo, grid_hi, grid_step), and the right
 tail beyond it uses 1 - F(y) ~ (2/pi)/y.  `ks_compare` takes a sample in any
-order, as a plain array, and measures its Kolmogorov-Smirnov distance from
-the law.
+order, as a plain array, sorts it and measures its Kolmogorov-Smirnov
+distance from the law with `_ks_sorted`, which reads the CDF a slice of the
+sorted sample at a time.
 
-`sweep` merges the rows of q = 2..N in q order, so F_N comes out in (q, p)
-order with no sort; `_h_rows` reads h from those rows for `estimate_D`, for
-the th3 suite of sudlerlab.verify and for `scan` in sudlerlab.cli.
+`_sweep_blocks` streams the rows of q = 2..N in q order, a block of whole
+denominators at a time, so F_N comes out in (q, p) order with no sort;
+`dist` in sudlerlab.cli writes each block as it comes and keeps only its
+statistic column.  `sweep` concatenates the blocks into one table, from
+which `_h_rows` reads h for `estimate_D`, for the th3 suite of
+sudlerlab.verify and for `scan` in sudlerlab.cli.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -296,15 +301,33 @@ def stable_cdf(y):
 # -- empirical side --------------------------------------------------------------
 
 
+# sample values per slice of the KS scan and of dist's report rows
+_KS_CHUNK = 1 << 14
+
+
 def ks_compare(samples, law: StableLaw) -> float:
     """Kolmogorov-Smirnov sup distance between a sample, in any order, and the law."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
+    return _ks_sorted(np.sort(np.asarray(samples, dtype=np.float64)), law)
+
+
+def _ks_sorted(x: np.ndarray, law: StableLaw) -> float:
+    """ks_compare of a sample already sorted ascending.
+
+    The law's CDF is read _KS_CHUNK values at a time, so nothing the length
+    of the sample is built; each value and each maximum is the one the whole
+    array would give.
+    """
     n = x.size
     if n < 100:
         raise PrecondError(f"need n >= 100 samples, got {n}")
-    F = np.asarray(law.cdf(x))
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
+    above = below = -np.inf
+    for lo in range(0, n, _KS_CHUNK):
+        F = np.asarray(law.cdf(x[lo : lo + _KS_CHUNK]))
+        i = np.arange(lo + 1, lo + F.size + 1)
+        # np.maximum, like one np.max over the whole array, carries a NaN through
+        above = np.maximum(above, np.max(i / n - F))
+        below = np.maximum(below, np.max(F - (i - 1) / n))
+    return float(max(above, below))
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -314,6 +337,7 @@ _SWEEP_DTYPE = [
     ("p", np.int64), ("q", np.int64), ("sum_a", np.int64), ("logJ", np.float64)
 ]
 _SWEEP_CHUNK = 8  # denominators per task when sweep runs in worker processes
+_BLOCK_ROWS = 1 << 14  # least rows per block of _sweep_blocks; blocks end at a whole q
 
 
 def _partial_quotient_sums(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -332,7 +356,8 @@ def _farey_row(q: int) -> np.ndarray:
     """Sweep rows of the reduced p/q in (0, 1) with denominator q, ascending in p.
 
     The Jones kernel runs on p <= q/2 only: n (q - p) = -n p mod q, so the
-    row of q - p gathers the same factors as the row of p; sweep fills sum_a.
+    row of q - p gathers the same factors as the row of p; _sweep_blocks
+    fills sum_a.
     """
     lo = np.arange(1, q // 2 + 1, dtype=np.int64)
     lo = lo[np.gcd(lo, q) == 1]
@@ -345,32 +370,62 @@ def _farey_row(q: int) -> np.ndarray:
     return rows
 
 
-def sweep(N: int, threads: int = 1) -> np.ndarray:
-    """Per-fraction sweep over F_N: (p, q, sum of partial quotients, log J).
+def _block(parts: list[np.ndarray]) -> np.ndarray:
+    """The rows of consecutive denominators as one block, with sum_a filled."""
+    rows = np.concatenate(parts)
+    rows["sum_a"] = _partial_quotient_sums(rows["p"], rows["q"])
+    return rows
 
-    An ordered map of _farey_row over q = 2..N (a few q per worker task when
-    threads > 1): the rows are in (q, p) order, with no sort, whatever the
-    worker count; Euclid then runs once on the whole table for sum_a.  Each
-    denominator q costs one table of about q/2 sines and a gather of q - 1
-    residues per fraction with p < q/2: about N^2/4 sines and (1/pi^2) N^3
-    gathers in total.  Raises EnumerationCapError, before any row is
-    computed, when N exceeds trig.ENUM_CAP.
+
+def _sweep_blocks(N: int, threads: int = 1) -> Iterator[np.ndarray]:
+    """The rows of sweep(N) as consecutive blocks of whole denominators.
+
+    Each block holds the rows of the next few q, at least _BLOCK_ROWS of them
+    (the last block may hold fewer), with sum_a filled by one Euclid on the
+    block.  The rows are an ordered map of _farey_row over q = 2..N, a few q
+    per worker task when threads > 1, so the blocks and their bytes do not
+    depend on the worker count; pool.map computes ahead of the consumer, and
+    its finished rows wait in memory until their block is taken.  N is
+    checked before the first row.
     """
     if N < 2:
         raise PrecondError(f"need N >= 2, got {N}")
     if N > ENUM_CAP:
         raise EnumerationCapError(f"N {N} exceeds cap {ENUM_CAP}")
     qs = range(2, N + 1)
-    if threads <= 1:
-        rows = np.concatenate(list(map(_farey_row, qs)))
-    else:
-        # fork starts every worker at the first submit, so ask for no more
-        # workers than there are tasks
-        workers = min(threads, math.ceil(len(qs) / _SWEEP_CHUNK))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = np.concatenate(list(pool.map(_farey_row, qs, chunksize=_SWEEP_CHUNK)))
-    rows["sum_a"] = _partial_quotient_sums(rows["p"], rows["q"])
-    return rows
+    with contextlib.ExitStack() as stack:
+        if threads <= 1:
+            rows = map(_farey_row, qs)
+        else:
+            # fork starts every worker at the first submit, so ask for no more
+            # workers than there are tasks
+            workers = min(threads, math.ceil(len(qs) / _SWEEP_CHUNK))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            rows = pool.map(_farey_row, qs, chunksize=_SWEEP_CHUNK)
+        parts, size = [], 0
+        for row in rows:
+            parts.append(row)
+            size += row.size
+            if size >= _BLOCK_ROWS:
+                yield _block(parts)
+                parts, size = [], 0
+        if parts:
+            yield _block(parts)
+
+
+def sweep(N: int, threads: int = 1) -> np.ndarray:
+    """Per-fraction sweep over F_N: (p, q, sum of partial quotients, log J).
+
+    The concatenation of the _sweep_blocks(N, threads) blocks: the rows are
+    in (q, p) order, with no sort, whatever the worker count.  Each
+    denominator q costs one table of about q/2 sines and a gather of q - 1
+    residues per fraction with p < q/2: about N^2/4 sines and (1/pi^2) N^3
+    gathers in total.  The table takes 32 bytes per fraction; `dist` in
+    sudlerlab.cli reads the blocks instead and never holds it.  Raises
+    EnumerationCapError, before any row is computed, when N exceeds
+    trig.ENUM_CAP.
+    """
+    return np.concatenate(list(_sweep_blocks(N, threads)))
 
 
 def _h_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

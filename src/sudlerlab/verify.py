@@ -335,11 +335,13 @@ def _tail_parts(table: ConvergentTable, rep: OstrowskiRep, ell: int):
     # factors b q_l + 1 .. (b + 1) q_l of one product at the b = 0 shift, and
     # likewise at alpha' with q'_l and theta'_l, where the shift
     # -(-1)^l eps'_l/q'_l is sh/alpha (eps'_l = -eps_l p_l/(q_l alpha))
-    alpha = table.alpha_exact
-    q_ell = table.q(ell)
-    sh = Fraction((-1) ** ell * epsilon_vector(rep, table)[ell], q_ell)
-    lhs = (shifted_sudler(alpha, sh, b_ell * q_ell)
-           - shifted_sudler(1 / alpha - a1, sh / alpha, b_ell * qp_ell))
+    lhs = 0.0  # both products of an empty block are empty
+    if b_ell > 0:
+        alpha = table.alpha_exact
+        q_ell = table.q(ell)
+        sh = Fraction((-1) ** ell * epsilon_vector(rep, table)[ell], q_ell)
+        lhs = (shifted_sudler(alpha, sh, b_ell * q_ell)
+               - shifted_sudler(1 / alpha - a1, sh / alpha, b_ell * qp_ell))
     s = sum(table.partial(m) for m in range(2, ell + 1))
     unit = s**0.75 / qp_ell**0.75 + math.log(a1 + 1) / qp_ell
     return lhs, unit

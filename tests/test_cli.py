@@ -403,6 +403,58 @@ def test_dist_small_sweep(tmp_path, capsys):
     assert len(rows) == sum(1 for _ in farey_enumerate(60))
 
 
+def _dist_reference(N, stat, Ncap=verify.NCAP):
+    """(CSV, report CSV, stdout) of `dist` from the whole sweep(N) table."""
+    table = dist.sweep(N)
+    Ncap = min(N, Ncap)
+    D = dist._D_from_rows(table[table["q"] <= Ncap], Ncap)
+    stat_logJ = dist._stat_logJ_from_mag(table["logJ"], N, D)
+    stat_pq = dist._stat_pq_from_sum(table["sum_a"], N)
+    csv_text = "p,q,sum_partial_quotients,logJ,stat_logJ,stat_pq\n" + "".join(
+        "%d,%d,%d,%.17g,%.17g,%.17g\n" % row for row in zip(
+            table["p"].tolist(), table["q"].tolist(), table["sum_a"].tolist(),
+            table["logJ"].tolist(), stat_logJ.tolist(), stat_pq.tolist()))
+    ys = np.sort(stat_logJ if stat == "logJ" else stat_pq)
+    n = ys.size
+    law = dist._default_law()
+    F = law.cdf(ys)
+    i = np.arange(1, n + 1)
+    ks = float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
+    report = "y,emp_cdf,stable_cdf\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % row for row in zip(ys.tolist(), (i / n).tolist(), F.tolist()))
+    stdout = f"stat = {stat}\nn = {n}\nKS = {ks:.17g}\n"
+    if stat == "logJ":
+        stdout += f"D = {D:.17g}  (estimated over F_{Ncap})\n"
+    return csv_text.encode(), report.encode(), stdout
+
+
+def _dist_run(N, stat, threads, tmp_path, capsys):
+    out, rep = tmp_path / f"d{threads}.csv", tmp_path / f"r{threads}.csv"
+    rc, stdout, err = run(["dist", "--N", str(N), "--stat", stat, "--threads", str(threads),
+                           "--out", str(out), "--report", str(rep)], capsys)
+    assert rc == 0 and err == ""
+    return out.read_bytes(), rep.read_bytes(), stdout
+
+
+@pytest.mark.parametrize("N,stat", [(120, "logJ"), (300, "pq")])
+def test_dist_streams_the_sweep_table_bytes(N, stat, tmp_path, capsys):
+    # the blocks, in one process or two workers, give the bytes of the table
+    want = _dist_reference(N, stat)
+    assert _dist_run(N, stat, 1, tmp_path, capsys) == want
+    assert _dist_run(N, stat, 2, tmp_path, capsys) == want
+
+
+def test_dist_never_builds_the_sweep_table(tmp_path, capsys, monkeypatch):
+    want = _dist_reference(300, "logJ")
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("dist built the whole sweep table")
+
+    monkeypatch.setattr(dist, "sweep", no_sweep)
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    assert _dist_run(300, "logJ", 1, tmp_path, capsys) == want
+
+
 def test_dist_logJ_prints_centering(capsys):
     rc, out, _ = run(["dist", "--N", "50", "--stat", "logJ"], capsys)
     assert rc == 0 and "D = " in out
@@ -430,7 +482,7 @@ def test_dist_rejects_small_ncap_before_sweep(tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran with an unusable --ncap")
 
-    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.setattr(cli, "_sweep_blocks", no_sweep)
     path = tmp_path / "x.csv"
     path.write_bytes(b"kept\n")
     rc, _, err = run(["dist", "--N", "1000", "--ncap", "10", "--stat", "pq",
@@ -480,7 +532,7 @@ def test_dist_unwritable_output_fails_before_sweep(flag, tmp_path, capsys, monke
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before the output paths were opened")
 
-    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.setattr(cli, "_sweep_blocks", no_sweep)
     path = tmp_path / "no_such_dir" / "x.csv"
     rc, _, err = run(["dist", "--N", "50", flag, str(path)], capsys)
     assert rc == 2 and err.startswith("error: cannot write")
@@ -534,9 +586,12 @@ def test_sweep_past_enum_cap_exits_4(argv, capsys):
     ["scan", "--qmax", "3000000"],
     ["verify", "--suite", "continuity", "--qcap", "2097153"],
     ["verify", "--suite", "th3", "--ncap", "2097153"],
-], ids=["dist", "scan", "continuity", "th3"])
+    ["eval", "1/2097153"],
+    ["scan", "--qmax", "3000000", "--near", "0.3183098861837907", "--radius", "1e-11"],
+], ids=["dist", "scan", "continuity", "th3", "eval", "scan_near"])
 def test_refused_cap_keeps_existing_out(argv, tmp_path, capsys):
-    # the cap is refused before --out is opened, so the file keeps its bytes
+    # the cap is refused before --out is opened, so the file keeps its bytes;
+    # eval checks x and 1/x, and scan --near the window it has built
     path = tmp_path / "kept.csv"
     path.write_bytes(b"kept\n")
     rc, _, err = run(argv + ["--out", str(path)], capsys)

@@ -24,6 +24,7 @@ from sudlerlab.dist import (
     _D_from_rows,
     _partial_quotient_sums,
     _default_law,
+    _sweep_blocks,
     estimate_D,
     farey_enumerate,
     ks_compare,
@@ -33,8 +34,9 @@ from sudlerlab.dist import (
     statistic_partial_quotients,
     sweep,
 )
-from sudlerlab.errors import PrecondError, QuadratureError
+from sudlerlab.errors import EnumerationCapError, PrecondError, QuadratureError
 from sudlerlab.jones import jones_J, vol_41
+from sudlerlab.trig import ENUM_CAP
 
 # (y, pdf, cdf) from scipy.stats.levy_stable(alpha=1, beta=1)
 STABLE_ORACLE = [
@@ -198,6 +200,32 @@ def test_empirical_dist_sorts_and_counts(law):
     assert ks_compare(list(shuffled), law) == ks_compare(ys, law)
 
 
+def _ks_full_arrays(samples, law):
+    """KS by one full-length sort, CDF and rank array: the form ks_compare replaced."""
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    n = x.size
+    F = np.asarray(law.cdf(x))
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
+
+
+_C = dist._KS_CHUNK
+
+
+@given(n=st.sampled_from([100, _C - 1, _C, _C + 1, 2 * _C - 1, 2 * _C, 2 * _C + 1, 3 * _C + 7]),
+       seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_ks_compare_chunks_equal_full_arrays(law, n, seed, ties):
+    # stable draws reach past the grid's top at 80 and below its bottom at
+    # -12; rounding some of them makes ties
+    rng = np.random.default_rng(seed)
+    ys = np.concatenate([law.quantile(rng.uniform(1e-6, 1 - 1e-6, n - 2)), [-20.0, 1e4]])
+    if ties:
+        ys[: n // 2] = np.round(ys[: n // 2], 1)
+    shuffled = rng.permutation(ys)
+    assert ks_compare(shuffled, law) == _ks_full_arrays(shuffled, law)
+
+
 def test_ks_compare_constant_sample(law):
     F0 = float(law.cdf(0.0))
     assert ks_compare(np.zeros(200), law) == pytest.approx(max(F0, 1.0 - F0), abs=1e-2)
@@ -321,6 +349,29 @@ def test_sweep_forks_no_more_workers_than_tasks(monkeypatch):
     rows = sweep(120, threads=1000)
     assert asked == [15]
     assert np.array_equal(rows, sweep(120))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("N", [2, 3, 60, 301])
+def test_sweep_is_its_blocks_concatenated(N, threads):
+    # the blocks hold whole denominators, at least _BLOCK_ROWS rows each but
+    # the last, and together they are sweep(N) bit for bit at any worker count
+    blocks = list(_sweep_blocks(N, threads))
+    assert np.concatenate(blocks).tobytes() == sweep(N).tobytes()
+    assert all(len(b) >= dist._BLOCK_ROWS for b in blocks[:-1])
+    for before, after in zip(blocks, blocks[1:]):
+        assert before["q"][-1] < after["q"][0]
+
+
+def test_sweep_blocks_check_N_before_any_row(monkeypatch):
+    def no_row(q):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(dist, "_farey_row", no_row)
+    with pytest.raises(PrecondError):
+        next(_sweep_blocks(1))
+    with pytest.raises(EnumerationCapError):
+        next(_sweep_blocks(ENUM_CAP + 1))
 
 
 def test_estimate_D_regression_and_stability():
