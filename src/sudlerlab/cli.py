@@ -38,7 +38,6 @@ import numpy as np
 from sudlerlab import cfrac, verify
 from sudlerlab.cfrac import cf_expand
 from sudlerlab.dist import (
-    _KS_CHUNK,
     _D_from_rows,
     _default_law,
     _h_rows,
@@ -57,7 +56,7 @@ from sudlerlab.errors import (
     ZeroFactorError,
 )
 from sudlerlab.jones import h_eval, vol_41
-from sudlerlab.trig import ENUM_CAP
+from sudlerlab.trig import _BLOCK, ENUM_CAP
 
 ENV_CONFIG = "SUDLERLAB_CONFIG"
 
@@ -324,8 +323,8 @@ def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:
 def _report_rows(ys: np.ndarray, law):
     """(y, i/n, F(y)) of a sorted sample, the law's CDF read a slice at a time."""
     n = ys.size
-    for lo in range(0, n, _KS_CHUNK):
-        y = ys[lo : lo + _KS_CHUNK]
+    for lo in range(0, n, _BLOCK):
+        y = ys[lo : lo + _BLOCK]
         yield from _array_rows(y, np.arange(lo + 1, lo + y.size + 1) / n, law.cdf(y))
 
 

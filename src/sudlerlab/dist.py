@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -54,7 +55,7 @@ import numpy as np
 from sudlerlab.cfrac import cf_expand
 from sudlerlab.errors import EnumerationCapError, PrecondError, QuadratureError
 from sudlerlab.jones import _logJ_rows, jones_J, vol_41
-from sudlerlab.trig import ENUM_CAP
+from sudlerlab.trig import _BLOCK, ENUM_CAP
 
 __all__ = [
     "StableLaw",
@@ -127,9 +128,6 @@ _LEVELS = 21
 # pi 2^-40 = 3e-12 puts u* inside the transition even at y = 1e6, where it is
 # pi/t^2 = 1.3e-12 wide
 _BISECTIONS = 40
-# y values per block: one side's node arrays hold at most 256 x 504 doubles
-# (1 MB) at full depth, and 256 x 192 on the CDF grid
-_CHUNK = 256
 _TOL = 1e-9
 
 
@@ -208,8 +206,13 @@ def _nolan(y) -> tuple[np.ndarray, np.ndarray]:
     for levels in np.unique(depth).tolist():
         fine, coarse = _graded_rule(24, levels), _graded_rule(20, levels)
         group = np.flatnonzero(depth == levels)
-        for i in range(0, group.size, _CHUNK):
-            block = group[i : i + _CHUNK]
+        # one side's nodes of the fine rule, 24 per panel, fill about
+        # trig._BLOCK doubles, so the few node arrays alive at once fit in
+        # L2: 85 y values per block on the CDF grid (at most 8 levels), 32
+        # at full depth
+        per = max(1, _BLOCK // (24 * levels))
+        for i in range(0, group.size, per):
+            block = group[i : i + per]
             tb = target[block]
             u_star, u_cut = _crossing(np.stack([tb, tb + _Z_CUT]))
             # the values come from the fine rule; the coarse one is the guard
@@ -301,10 +304,6 @@ def stable_cdf(y):
 # -- empirical side --------------------------------------------------------------
 
 
-# sample values per slice of the KS scan and of dist's report rows
-_KS_CHUNK = 1 << 14
-
-
 def ks_compare(samples, law: StableLaw) -> float:
     """Kolmogorov-Smirnov sup distance between a sample, in any order, and the law."""
     return _ks_sorted(np.sort(np.asarray(samples, dtype=np.float64)), law)
@@ -313,7 +312,7 @@ def ks_compare(samples, law: StableLaw) -> float:
 def _ks_sorted(x: np.ndarray, law: StableLaw) -> float:
     """ks_compare of a sample already sorted ascending.
 
-    The law's CDF is read _KS_CHUNK values at a time, so nothing the length
+    The law's CDF is read trig._BLOCK values at a time, so nothing the length
     of the sample is built; each value and each maximum is the one the whole
     array would give.
     """
@@ -321,8 +320,8 @@ def _ks_sorted(x: np.ndarray, law: StableLaw) -> float:
     if n < 100:
         raise PrecondError(f"need n >= 100 samples, got {n}")
     above = below = -np.inf
-    for lo in range(0, n, _KS_CHUNK):
-        F = np.asarray(law.cdf(x[lo : lo + _KS_CHUNK]))
+    for lo in range(0, n, _BLOCK):
+        F = np.asarray(law.cdf(x[lo : lo + _BLOCK]))
         i = np.arange(lo + 1, lo + F.size + 1)
         # np.maximum, like one np.max over the whole array, carries a NaN through
         above = np.maximum(above, np.max(i / n - F))
@@ -337,7 +336,6 @@ _SWEEP_DTYPE = [
     ("p", np.int64), ("q", np.int64), ("sum_a", np.int64), ("logJ", np.float64)
 ]
 _SWEEP_CHUNK = 8  # denominators per task when sweep runs in worker processes
-_BLOCK_ROWS = 1 << 14  # least rows per block of _sweep_blocks; blocks end at a whole q
 
 
 def _partial_quotient_sums(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -380,13 +378,14 @@ def _block(parts: list[np.ndarray]) -> np.ndarray:
 def _sweep_blocks(N: int, threads: int = 1) -> Iterator[np.ndarray]:
     """The rows of sweep(N) as consecutive blocks of whole denominators.
 
-    Each block holds the rows of the next few q, at least _BLOCK_ROWS of them
+    Each block holds the rows of the next few q, at least trig._BLOCK of them
     (the last block may hold fewer), with sum_a filled by one Euclid on the
     block.  The rows are an ordered map of _farey_row over q = 2..N, a few q
     per worker task when threads > 1, so the blocks and their bytes do not
-    depend on the worker count; pool.map computes ahead of the consumer, and
-    its finished rows wait in memory until their block is taken.  N is
-    checked before the first row.
+    depend on the worker count.  Each pool.map takes one window of 4 tasks
+    per worker and the next starts when the consumer has read it, so the
+    finished rows that wait in memory do not grow with N.  N is checked
+    before the first row.
     """
     if N < 2:
         raise PrecondError(f"need N >= 2, got {N}")
@@ -401,12 +400,16 @@ def _sweep_blocks(N: int, threads: int = 1) -> Iterator[np.ndarray]:
             # workers than there are tasks
             workers = min(threads, math.ceil(len(qs) / _SWEEP_CHUNK))
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            rows = pool.map(_farey_row, qs, chunksize=_SWEEP_CHUNK)
+            window = 4 * workers * _SWEEP_CHUNK
+            rows = itertools.chain.from_iterable(
+                pool.map(_farey_row, qs[i : i + window], chunksize=_SWEEP_CHUNK)
+                for i in range(0, len(qs), window)
+            )
         parts, size = [], 0
         for row in rows:
             parts.append(row)
             size += row.size
-            if size >= _BLOCK_ROWS:
+            if size >= _BLOCK:
                 yield _block(parts)
                 parts, size = [], 0
         if parts:

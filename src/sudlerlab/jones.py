@@ -27,7 +27,7 @@ import numpy as np
 
 from sudlerlab.cfrac import CFExpansion, cf_expand, convergents
 from sudlerlab.errors import EnumerationCapError, PrecondError
-from sudlerlab.trig import ENUM_CAP, _logsumexp, _logsumexp_rows, _prefix_logs
+from sudlerlab.trig import _BLOCK, ENUM_CAP, _logsumexp, _logsumexp_rows, _prefix_logs
 
 __all__ = [
     "HValue",
@@ -101,10 +101,6 @@ def vol_41() -> float:
     return 2.0 * math.pi * psi_heuristic(Fraction(5, 6))
 
 
-# rows per kernel block: about this many terms, which bounds the block's arrays
-_BLOCK_TERMS = 1 << 18
-
-
 def _logJ_rows(q: int, ps) -> list[float]:
     """log J(p/q) for each p in ps; every p coprime to q, 0 < p < q.
 
@@ -112,15 +108,17 @@ def _logJ_rows(q: int, ps) -> list[float]:
     k <= q/2: row p gathers it at min(r, q - r), r = n p mod q, and takes the
     cumulative sum.  Rows go a block at a time through trig._logsumexp_rows,
     which sums each row correctly rounded in a few passes over the block, so
-    a value does not depend on how rows are batched; _BLOCK_TERMS bounds its
-    temporaries.  Callers keep q within trig.ENUM_CAP (2^21), so n p < 2^42
+    a value does not depend on how rows are batched.  A block holds about
+    trig._BLOCK = 2^14 terms (one row when q is larger), so its residue,
+    gather, cumsum and summation arrays, 128 KB each, fit in L2 together;
+    2^18-term blocks were slower and set dist's peak memory.  Callers keep q within trig.ENUM_CAP (2^21), so n p < 2^42
     and the residues are exact in int64.
     """
     ps = np.asarray(ps, dtype=np.int64)
     table = np.zeros(q // 2 + 1)  # entry 0 (a vanishing factor) is never read
     np.log(2.0 * np.sin(np.pi * (np.arange(1, q // 2 + 1) / q)), out=table[1:])
     n = np.arange(1, q, dtype=np.int64)
-    rows = max(1, _BLOCK_TERMS // q)
+    rows = max(1, _BLOCK // q)
     out: list[float] = []
     for i in range(0, ps.size, rows):
         r = ps[i : i + rows, None] * n % q

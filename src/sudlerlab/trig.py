@@ -62,6 +62,11 @@ POLE_GUARD = 1e-13
 # allocating, to materialize more values
 ENUM_CAP = 1 << 21
 
+# values per block of every batched NumPy pass: the Jones rows, the stable-law
+# nodes, the KS and report slices and the sweep's row blocks.  2^14 doubles
+# are 128 KB, so the few temporaries alive during a pass stay in L2
+_BLOCK = 1 << 14
+
 # exact values of log f on the small torus rationals that tests pin down
 _EXACT_LOGF = {
     Fraction(1, 2): LOG2,

@@ -10,6 +10,7 @@ algorithm, and reaches far into the right tail.
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from sudlerlab import dist
 from sudlerlab.cfrac import cf_expand
 from sudlerlab.dist import (
     EULER_GAMMA,
+    StableLaw,
     _D_from_rows,
     _partial_quotient_sums,
     _default_law,
@@ -169,6 +171,36 @@ def test_depth_rule_matches_full_depth(ys):
     assert np.max(np.abs(g - g_full)) <= 2e-15
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_STABLE_Y, min_size=1, max_size=60), st.integers(1, 3))
+def test_quadrature_values_do_not_depend_on_block_size(ys, per):
+    # a block of 48 per values holds per y values at 2 levels and fewer,
+    # down to one, deeper; the default puts all of them in one block
+    F, g = dist._nolan(ys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist, "_BLOCK", 48 * per)
+        F_small, g_small = dist._nolan(ys)
+    assert F_small.tobytes() == F.tobytes()
+    assert g_small.tobytes() == g.tobytes()
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_warm_grid_build_stays_in_small_blocks(law):
+    # with the rules cached, a grid build peaks at 1.2 MB; 256 y values per
+    # block made it 2.8 MB
+    law._grid  # builds and caches the quadrature rules
+    assert _peak_bytes(lambda: StableLaw()._grid) < 1.8 * 2**20
+
+
 @pytest.mark.parametrize("y", [8.0, 20.0, 40.0, 80.0])
 def test_guard_rejects_depth_three_levels_short(monkeypatch, y):
     depth = dist._depth
@@ -209,7 +241,7 @@ def _ks_full_arrays(samples, law):
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 
 
-_C = dist._KS_CHUNK
+_C = dist._BLOCK
 
 
 @given(n=st.sampled_from([100, _C - 1, _C, _C + 1, 2 * _C - 1, 2 * _C, 2 * _C + 1, 3 * _C + 7]),
@@ -327,6 +359,12 @@ def test_sweep_threads_agree():
     assert np.array_equal(sweep(120, threads=2), sweep(120))
 
 
+def test_farey_row_stays_in_small_blocks():
+    # 2^14-term Jones blocks: q = 1500 peaks at 0.49 MB, where 2^18-term
+    # blocks made it 8.0 MB
+    assert _peak_bytes(lambda: dist._farey_row(1500)) < 2**20
+
+
 def test_sweep_forks_no_more_workers_than_tasks(monkeypatch):
     # fork starts all max_workers processes at once: 119 denominators in
     # chunks of 8 are 15 tasks, so 15 workers even when 1000 are allowed
@@ -354,13 +392,51 @@ def test_sweep_forks_no_more_workers_than_tasks(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("N", [2, 3, 60, 301])
 def test_sweep_is_its_blocks_concatenated(N, threads):
-    # the blocks hold whole denominators, at least _BLOCK_ROWS rows each but
+    # the blocks hold whole denominators, at least trig._BLOCK rows each but
     # the last, and together they are sweep(N) bit for bit at any worker count
     blocks = list(_sweep_blocks(N, threads))
     assert np.concatenate(blocks).tobytes() == sweep(N).tobytes()
-    assert all(len(b) >= dist._BLOCK_ROWS for b in blocks[:-1])
+    assert all(len(b) >= dist._BLOCK for b in blocks[:-1])
     for before, after in zip(blocks, blocks[1:]):
         assert before["q"][-1] < after["q"][0]
+
+
+def test_sweep_workers_run_at_most_one_window_ahead(monkeypatch):
+    # a pool that finishes every task of a window at once is the fastest
+    # possible: rows it made and _sweep_blocks has not yet handed over are
+    # the rows waiting in memory
+    windows, made = [], []
+
+    class EagerPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            windows.append(len(items))
+            return [fn(q) for q in items]
+
+    row = dist._farey_row
+
+    def counted_row(q):
+        made.append(q)
+        return row(q)
+
+    monkeypatch.setattr(dist, "ProcessPoolExecutor", EagerPool)
+    monkeypatch.setattr(dist, "_farey_row", counted_row)
+    window = 4 * 2 * dist._SWEEP_CHUNK
+    blocks = []
+    for block in _sweep_blocks(400, threads=2):
+        blocks.append(block)
+        assert len(made) - (block["q"][-1] - 1) <= window
+    assert len(blocks) > 2
+    assert max(windows) == window and sum(windows) == 399
+    assert np.concatenate(blocks).tobytes() == sweep(400).tobytes()
 
 
 def test_sweep_blocks_check_N_before_any_row(monkeypatch):

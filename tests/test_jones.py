@@ -111,7 +111,7 @@ def test_logJ_rows_batch_equals_single_rows_and_mirrors(q, rows_per_block):
     ps = [p for p in range(1, q) if math.gcd(p, q) == 1]
     # small blocks make the batch span several of them
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jones, "_BLOCK_TERMS", rows_per_block * q)
+        mp.setattr(jones, "_BLOCK", rows_per_block * q)
         batch = _logJ_rows(q, ps)
     assert batch == [_logJ_rows(q, [p])[0] for p in ps]
     assert batch == batch[::-1]  # the row of q - p is the row of p
