@@ -46,7 +46,6 @@ import contextlib
 import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Iterator
 
@@ -150,9 +149,41 @@ def _depth(target: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes, ascending, and weights on [-1, 1].
+
+    Newton's method on P_n, evaluated by the three-term recurrence
+    (k + 1) P_(k+1) = (2k + 1) x P_k - k P_(k-1), from the guesses
+    cos(pi (k - 1/4)/(n + 1/2)); the weights are 2/((1 - x)(1 + x) P_n'(x)^2).
+    Newton stops when its largest step no longer shrinks, which is at
+    rounding level: "until no node moves" can cycle between neighbouring
+    doubles.  NumPy alone, so no run starts LAPACK for a rule.
+    """
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    size = math.inf
+    while True:
+        p0, p = np.ones_like(x), x
+        for k in range(1, n):
+            p0, p = p, ((2 * k + 1) * x * p - k * p0) / (k + 1)
+        dp = n * (p0 - x * p) / ((1.0 - x) * (1.0 + x))  # P_n'(x)
+        step = p / dp
+        last, size = size, np.max(np.abs(step))
+        if not size < last:
+            break
+        x = x - step
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@functools.cache
 def _graded_rule(n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on `levels` panels of [0, 1] graded toward 1."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre nodes and weights on `levels` panels of [0, 1] graded toward 1.
+
+    Panel k spans [1 - 4^-k, 1 - 4^-(k+1)] for k < levels - 1 and the last
+    ends at 1; each carries the `_gauss_legendre(n)` rule mapped onto it.
+    """
+    x, w = _gauss_legendre(n)
     edges = np.append(1.0 - 0.25 ** np.arange(levels), 1.0)
     half = np.diff(edges)[:, None] / 2.0
     rule = (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
@@ -201,6 +232,7 @@ def _nolan(y) -> tuple[np.ndarray, np.ndarray]:
     # F integrand falls from 1 to 0 around it
     target = (math.pi / 2.0) * y
     depth = _depth(target)
+    u_star, u_cut = _crossing(np.stack([target, target + _Z_CUT]))
     F = np.empty_like(y)
     g = np.empty_like(y)
     for levels in np.unique(depth).tolist():
@@ -213,11 +245,10 @@ def _nolan(y) -> tuple[np.ndarray, np.ndarray]:
         per = max(1, _BLOCK // (24 * levels))
         for i in range(0, group.size, per):
             block = group[i : i + per]
-            tb = target[block]
-            u_star, u_cut = _crossing(np.stack([tb, tb + _Z_CUT]))
+            tb, us, uc = target[block], u_star[block], u_cut[block]
             # the values come from the fine rule; the coarse one is the guard
-            Ff, gf = _panel_sums(fine, tb, u_star, u_cut)
-            Fc, gc = _panel_sums(coarse, tb, u_star, u_cut)
+            Ff, gf = _panel_sums(fine, tb, us, uc)
+            Fc, gc = _panel_sums(coarse, tb, us, uc)
             err = max(np.max(np.abs(Ff - Fc)), np.max(np.abs(gf - gc)))
             if not err <= _TOL:
                 raise QuadratureError(
@@ -396,6 +427,9 @@ def _sweep_blocks(N: int, threads: int = 1) -> Iterator[np.ndarray]:
         if threads <= 1:
             rows = map(_farey_row, qs)
         else:
+            # imported here, so a single-process run loads no multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             # fork starts every worker at the first submit, so ask for no more
             # workers than there are tasks
             workers = min(threads, math.ceil(len(qs) / _SWEEP_CHUNK))

@@ -7,12 +7,14 @@ second table comes from inverting the characteristic function, a different
 algorithm, and reaches far into the right tail.
 """
 
+import concurrent.futures
 import math
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,12 +214,84 @@ def test_guard_rejects_depth_three_levels_short(monkeypatch, y):
 def test_import_builds_no_quadrature_rule():
     code = (
         "import sudlerlab.cli; from sudlerlab import dist; "
-        "print(dist._graded_rule.cache_info().currsize)"
+        "print(dist._graded_rule.cache_info().currsize, "
+        "dist._gauss_legendre.cache_info().currsize)"
     )
     res = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "0"
+    assert res.stdout.strip() == "0 0"
+
+
+def test_single_process_dist_loads_no_multiprocessing(tmp_path):
+    # the pool is imported only for --threads > 1, so neither the import nor
+    # a --threads 1 run with the stable-law report loads multiprocessing
+    code = (
+        "import sys; import sudlerlab.cli as cli; "
+        "pool = ('multiprocessing', 'concurrent.futures.process'); "
+        "print(sorted(m for m in pool if m in sys.modules)); "
+        f"cli.main(['dist', '--N', '60', '--threads', '1', '--stat', 'logJ', "
+        f"'--out', {str(tmp_path / 'd.csv')!r}, "
+        f"'--report', {str(tmp_path / 'r.csv')!r}]); "
+        "print(sorted(m for m in pool if m in sys.modules))"
+    )
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    assert (tmp_path / "r.csv").stat().st_size > 0
+
+
+def test_grid_builds_without_lapack(monkeypatch):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK was called")
+
+    grid = _default_law()._grid
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_lapack)
+    dist._gauss_legendre.cache_clear()
+    dist._graded_rule.cache_clear()
+    ys, Fs = StableLaw()._grid
+    assert ys.tobytes() == grid[0].tobytes() and Fs.tobytes() == grid[1].tobytes()
+
+
+def _gauss_legendre_50_digits(n):
+    """Nodes and weights polished by 50-digit Newton steps from leggauss's nodes."""
+    with mpmath.workdps(50):
+        xs, ws = [], []
+        for x0 in np.polynomial.legendre.leggauss(n)[0]:
+            x = mpmath.mpf(float(x0))
+            for _ in range(8):
+                p0, p = mpmath.mpf(1), x
+                for k in range(1, n):
+                    p0, p = p, ((2 * k + 1) * x * p - k * p0) / (k + 1)
+                dp = n * (p0 - x * p) / (1 - x * x)
+                x -= p / dp
+            xs.append(x)
+            ws.append(2 / ((1 - x * x) * dp * dp))
+        assert all(a < b for a, b in zip(xs, xs[1:]))
+        assert abs(mpmath.fsum(ws) - 2) < mpmath.mpf(10) ** -40
+        return xs, ws
+
+
+@pytest.mark.parametrize("n", [2, 5, 20, 24, 40])
+def test_gauss_legendre_matches_50_digit_rule_and_leggauss(n):
+    x, w = dist._gauss_legendre(n)
+    rx, rw = _gauss_legendre_50_digits(n)
+    eps = np.finfo(float).eps
+    # nodes within 1 ulp of the reference (the zero node of odd n within
+    # eps); weights within 128 ulp: a node rounded by half an ulp moves its
+    # weight by |x| ulp(1)/(1 - x^2) relative, up to 70 ulp at n = 24
+    for xi, wi, r, rwi in zip(x.tolist(), w.tolist(), rx, rw):
+        assert abs(mpmath.mpf(xi) - r) <= max(np.spacing(abs(float(r))), eps)
+        assert abs(mpmath.mpf(wi) - rwi) <= 128 * np.spacing(float(rwi))
+    lx, lw = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - lx)) <= eps and np.max(np.abs(w - lw)) <= 20 * eps
+    # exact on polynomials of degree 2n - 1: the weights sum to 2 and
+    # x^(2n-2) integrates to 2/(2n - 1), each to within 2 eps
+    assert abs(w.sum() - 2.0) <= 2 * eps
+    assert abs((w * x ** (2 * n - 2)).sum() - 2.0 / (2 * n - 1)) <= 2 * eps
 
 
 # -- empirical side -----------------------------------------------------------------
@@ -383,7 +457,7 @@ def test_sweep_forks_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(dist, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     rows = sweep(120, threads=1000)
     assert asked == [15]
     assert np.array_equal(rows, sweep(120))
@@ -427,7 +501,7 @@ def test_sweep_workers_run_at_most_one_window_ahead(monkeypatch):
         made.append(q)
         return row(q)
 
-    monkeypatch.setattr(dist, "ProcessPoolExecutor", EagerPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", EagerPool)
     monkeypatch.setattr(dist, "_farey_row", counted_row)
     window = 4 * 2 * dist._SWEEP_CHUNK
     blocks = []
