@@ -11,17 +11,17 @@ together with two corrected forms that isolate its bounded part:
     psi(x)  = h(x) - Vol/(2 pi x) + (3/2) log x,
     psi*(x) = h(x) + (Vol/2 pi) (x - 1/x),
 
-where Vol = 2.0298832... is the hyperbolic volume of the knot complement,
-computed here as 4 pi times the log-sine integral over (0, 5/6), that is
-2 Cl_2(pi/3).
+where Vol = 2 Cl_2(pi/3) = 2.0298832... is the hyperbolic volume of the
+knot complement, 4 pi times the log-sine integral over (0, 5/6), kept as a
+literal double.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from sudlerlab.trig import _BLOCK, ENUM_CAP, _logsumexp, _logsumexp_rows, _prefi
 __all__ = [
     "HValue",
     "vol_41",
-    "psi_heuristic",
     "jones_J",
     "h_eval",
     "telescoping_logJ",
@@ -40,65 +39,13 @@ __all__ = [
 ]
 
 
-# |B_2k| / (2k (2k+1)!) for k = 1..30, the Taylor coefficients of
-# Cl_2(theta) - theta + theta log theta; the terms shrink about fourfold per k
-# at theta = pi, where term 30 is 1.5e-21
-_CL2_COEFFS = (
-    0.013888888888888888, 6.944444444444444e-05, 7.873519778281683e-07,
-    1.1482216343327455e-08, 1.8978869988971e-10, 3.387301370953521e-12,
-    6.372636443183181e-14, 1.2462059912950672e-15, 2.5105444608999545e-17,
-    5.178258806090623e-19, 1.0887357368300849e-20, 2.325744114302087e-22,
-    5.03519521314739e-24, 1.1026499294381215e-25, 2.4386585509007344e-27,
-    5.440142678856253e-29, 1.2228340131217352e-30, 2.767263468967951e-32,
-    6.3000905918320136e-34, 1.4420868388418476e-35, 3.3170939991595428e-37,
-    7.663913557920658e-39, 1.7778714733830659e-40, 4.1396058982341375e-42,
-    9.671557036081102e-44, 2.2667187016766123e-45, 5.327956311328254e-47,
-    1.2557248389564336e-48, 2.967000542247094e-50, 7.026787317600742e-52,
-)
-
-
-def _clausen2(theta: float) -> float:
-    """Cl_2(theta) = sum_n sin(n theta)/n^2 for 0 < theta <= pi.
-
-    Cl_2(theta) = theta - theta log theta + sum_k |B_2k| theta^(2k+1) / (2k (2k+1)!),
-    convergent for |theta| < 2 pi.  The terms are summed with fsum: a
-    left-to-right float sum gives 2 Cl_2(pi/3) two ulp low.
-    """
-    terms = [theta, -theta * math.log(theta)]
-    terms += [c * theta ** (2 * k + 1) for k, c in enumerate(_CL2_COEFFS, 1)]
-    return math.fsum(terms)
-
-
-def _logsine_integral(t: Fraction) -> float:
-    """int_0^t log(2 sin(pi x)) dx = -Cl_2(2 pi t)/(2 pi) for 0 <= t <= 1/2."""
-    tf = float(t)
-    if tf == 0.0:
-        return 0.0
-    return -_clausen2(2 * math.pi * tf) / (2 * math.pi)
-
-
-def psi_heuristic(y) -> float:
-    """Psi(y) = 2 int_0^y log|2 sin(pi x)| dx on [0, 1]; maximal at y = 5/6.
-
-    For y > 1/2 the reflection x -> 1-x gives Psi(y) = -Psi(1-y), because the
-    integral over the whole period vanishes.
-    """
-    y = Fraction(y)
-    if not 0 <= y <= 1:
-        raise PrecondError(f"need 0 <= y <= 1, got {y}")
-    if y <= Fraction(1, 2):
-        return 2.0 * _logsine_integral(y)
-    return -2.0 * _logsine_integral(1 - y)
-
-
-@lru_cache(maxsize=1)
 def vol_41() -> float:
-    """Hyperbolic volume of the figure-eight complement, 4 pi int_0^{5/6} log f.
+    """Hyperbolic volume of the figure-eight knot complement, 2 Cl_2(pi/3).
 
-    Cached; equals 2 pi * psi_heuristic(5/6) by construction, and is
-    cross-checked against the Clausen-function closed form in the tests.
+    The correctly rounded double of 4 pi int_0^{5/6} log(2 sin(pi x)) dx;
+    the tests check it against mpmath's Clausen function and quadrature.
     """
-    return 2.0 * math.pi * psi_heuristic(Fraction(5, 6))
+    return 2.0298832128193074
 
 
 def _logJ_rows(q: int, ps) -> list[float]:
@@ -130,22 +77,58 @@ def _logJ_rows(q: int, ps) -> list[float]:
     return out
 
 
-@lru_cache(maxsize=1 << 20)
+_LOGJ_MAXSIZE = 1 << 20  # entries of the _logJ_mag store
+_logJ_store: dict[int, float] = {}
+_logJ_hits = 0
+_logJ_misses = 0
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
 def _logJ_mag(p: int, q: int) -> float:
-    """log J(p/q) for 0 <= p <= q/2, cached under that folded key.
+    """log J(p/q) for 0 <= p <= q/2, stored under that folded key.
 
     J is 1-periodic and even, so every p' = +-p mod q names the same value;
     jones_J and h_eval fold such a p' to min(p' mod q, q - p' mod q) before
     the lookup, and the rows of p and q - p are equal bit for bit (see
     _logJ_rows), so x and 1 - x share one entry.  Raises
-    EnumerationCapError, before anything is allocated, when q exceeds
-    trig.ENUM_CAP (2^21).
+    EnumerationCapError, before anything is allocated or looked up, when q
+    exceeds trig.ENUM_CAP (2^21).
+
+    The store is one dict from the int q << 21 | p to the float; p <= q/2
+    <= 2^20 keeps the key one-to-one.  An entry costs about 90 bytes, where
+    an lru_cache entry (key tuple, LRU link) costs 160-210, so a full store
+    of _LOGJ_MAXSIZE = 2^20 entries holds 96 MB instead of about 200 MB.  A
+    full store is cleared before the next insert.  cache_info() and
+    cache_clear() read and reset it as lru_cache's do.
     """
+    global _logJ_hits, _logJ_misses
     if q > ENUM_CAP:
         raise EnumerationCapError(f"denominator q = {q} exceeds cap {ENUM_CAP}")
-    if q == 1:
-        return 0.0
-    return _logJ_rows(q, [p])[0]
+    key = q << 21 | p
+    value = _logJ_store.get(key)
+    if value is not None:
+        _logJ_hits += 1
+        return value
+    _logJ_misses += 1
+    value = 0.0 if q == 1 else _logJ_rows(q, [p])[0]
+    if len(_logJ_store) >= _LOGJ_MAXSIZE:
+        _logJ_store.clear()
+    _logJ_store[key] = value
+    return value
+
+
+def _logJ_cache_info() -> _CacheInfo:
+    return _CacheInfo(_logJ_hits, _logJ_misses, _LOGJ_MAXSIZE, len(_logJ_store))
+
+
+def _logJ_cache_clear() -> None:
+    global _logJ_hits, _logJ_misses
+    _logJ_store.clear()
+    _logJ_hits = _logJ_misses = 0
+
+
+_logJ_mag.cache_info = _logJ_cache_info
+_logJ_mag.cache_clear = _logJ_cache_clear
 
 
 def jones_J(r) -> float:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -16,12 +17,11 @@ from sudlerlab.jones import (
     h_eval,
     jones_J,
     m_k,
-    psi_heuristic,
     telescoping_logJ,
     vol_41,
 )
 from sudlerlab.cfrac import CFExpansion, cf_expand
-from sudlerlab.trig import _logsumexp, _prefix_logs, sudler_prefix_logmags
+from sudlerlab.trig import ENUM_CAP, _logsumexp, _prefix_logs, sudler_prefix_logmags
 
 
 def brute_J(p, q):
@@ -127,12 +127,73 @@ def test_jones_J_reads_one_row_per_plus_minus_class(pq):
     for s in (r, 1 - r, -r, r + 3):
         assert jones_J(s) == want, s
     jones._logJ_mag.cache_clear()
-    jones_J(r)
-    jones_J(1 - r)
+    miss = jones_J(r)
+    hit = jones_J(1 - r)
     assert jones._logJ_mag.cache_info().misses == 1
+    assert hit == miss == want
 
 
-# -- volume constant and Psi -----------------------------------------------------
+# -- the _logJ_mag store ---------------------------------------------------------
+
+
+def test_logJ_store_is_cleared_when_full(monkeypatch):
+    monkeypatch.setattr(jones, "_LOGJ_MAXSIZE", 8)
+    jones._logJ_mag.cache_clear()
+    keys = [(p, q) for q in range(3, 60) for p in range(1, q // 2 + 1)
+            if math.gcd(p, q) == 1][:20]
+    try:
+        for p, q in keys:
+            assert jones._logJ_mag(p, q) == _logJ_rows(q, [p])[0], (p, q)
+            info = jones._logJ_mag.cache_info()
+            assert info.currsize <= 8 and info.maxsize == 8
+        assert jones._logJ_mag.cache_info().misses == 20
+    finally:
+        jones._logJ_mag.cache_clear()
+
+
+def test_logJ_mag_refuses_q_past_cap_before_the_store():
+    jones._logJ_mag(1, 3)
+    before = jones._logJ_mag.cache_info()
+    with pytest.raises(EnumerationCapError):
+        jones._logJ_mag(1, ENUM_CAP + 1)
+    # never looked up, never stored
+    assert jones._logJ_mag.cache_info() == before
+
+
+def test_logJ_store_keys_at_the_cap_corners(monkeypatch):
+    # a value unique to each (p, q); q = 1 never reaches the kernel
+    monkeypatch.setattr(jones, "_logJ_rows", lambda q, ps: [float(q * 2**22 + ps[0])])
+    corners = [(0, 1), (1, 2**21), (2**20, 2**21), (2**20 - 1, 2**21 - 1), (1, 2**21 - 1)]
+    want = [0.0] + [float(q * 2**22 + p) for p, q in corners[1:]]
+    jones._logJ_mag.cache_clear()
+    try:
+        assert [jones._logJ_mag(p, q) for p, q in corners] == want
+        assert [jones._logJ_mag(p, q) for p, q in corners] == want
+        info = jones._logJ_mag.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (5, 5, 5)
+    finally:
+        jones._logJ_mag.cache_clear()
+
+
+def test_logJ_store_bytes_per_entry(monkeypatch):
+    # one shared float, so what is retained is the key and the dict slot
+    monkeypatch.setattr(jones, "_logJ_rows", lambda q, ps: [1.5])
+    keys = [(p, q) for q in range(257, 8001) for p in range(1, 4)][:20000]
+    jones._logJ_mag.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for p, q in keys:
+            jones._logJ_mag(p, q)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        assert jones._logJ_mag.cache_info().currsize == len(keys)
+    finally:
+        tracemalloc.stop()
+        jones._logJ_mag.cache_clear()
+    assert retained / len(keys) <= 110, retained / len(keys)
+
+
+# -- volume constant -------------------------------------------------------------
 
 
 def test_vol_value():
@@ -142,8 +203,8 @@ def test_vol_value():
 def test_vol_equals_clausen_oracle():
     # Vol(4_1) = 2 Cl_2(pi/3), Clausen via its sine series
     with mpmath.workdps(30):
-        want = float(2 * mpmath.clsin(2, mpmath.pi / 3))
-    assert abs(vol_41() - want) <= 1e-12
+        # the literal is the correctly rounded volume
+        assert vol_41() == float(2 * mpmath.clsin(2, mpmath.pi / 3))
 
 
 def test_vol_against_high_precision_quadrature():
@@ -152,56 +213,6 @@ def test_vol_against_high_precision_quadrature():
                                [0, mpmath.mpf(5) / 6])
         want = float(4 * mpmath.pi * integral)
     assert abs(vol_41() - want) <= 1e-12
-
-
-def test_vol_is_scaled_psi_max():
-    assert vol_41() == 2.0 * math.pi * psi_heuristic(Fraction(5, 6))
-
-
-def test_clausen_series_against_mpmath():
-    with mpmath.workdps(30):
-        for k in range(1, 121):
-            theta = math.pi * k / 120  # (0, pi], the series' working range
-            want = float(mpmath.clsin(2, theta))
-            assert abs(jones._clausen2(theta) - want) <= 1e-15, theta
-        # 2 Cl_2(pi/3) is the correctly rounded volume
-        assert vol_41() == float(2 * mpmath.clsin(2, mpmath.pi / 3))
-
-
-def test_psi_heuristic_is_scaled_clausen():
-    # Psi(y) = -Cl_2(2 pi y)/pi; theta = 2 pi y runs over (0, 2 pi)
-    with mpmath.workdps(30):
-        for k in range(1, 240):
-            want = float(-mpmath.clsin(2, 2 * mpmath.pi * k / 240) / mpmath.pi)
-            assert abs(psi_heuristic(Fraction(k, 240)) - want) <= 1e-15, k
-
-
-def test_psi_heuristic_above_half_against_quadrature():
-    with mpmath.workdps(30):
-        for y in [Fraction(k, 24) for k in range(13, 24)] + [Fraction(999, 1000)]:
-            integral = mpmath.quad(
-                lambda x: mpmath.log(2 * mpmath.sin(mpmath.pi * x)),
-                [0, mpmath.mpf(y.numerator) / y.denominator],
-            )
-            assert abs(psi_heuristic(y) - float(2 * integral)) <= 1e-15, y
-
-
-def test_psi_heuristic_endpoints():
-    assert psi_heuristic(0) == 0.0
-    # full-period integral of log|2 sin| vanishes
-    assert abs(psi_heuristic(1)) <= 1e-12
-    assert abs(psi_heuristic(Fraction(5, 6)) - 0.32306) <= 1e-5
-
-
-def test_psi_heuristic_argmax_on_grid():
-    grid = [Fraction(k, 10**4) for k in range(0, 10**4 + 1, 4)]
-    best = max(grid, key=psi_heuristic)
-    assert abs(best - Fraction(5, 6)) <= Fraction(1, 2000)
-
-
-def test_psi_heuristic_domain():
-    with pytest.raises(PrecondError):
-        psi_heuristic(1.5)
 
 
 # -- h, psi, psi* ----------------------------------------------------------------
