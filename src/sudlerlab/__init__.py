@@ -7,7 +7,6 @@ from sudlerlab.cfrac import (
     OstrowskiRep,
     cf_expand,
     convergents,
-    drop_first_digit_map,
     interval_Ik,
     ostrowski_encode,
     parse_alpha,
@@ -16,12 +15,8 @@ from sudlerlab.cfrac import (
 from sudlerlab.dist import (
     StableLaw,
     estimate_D,
-    farey_enumerate,
     ks_compare,
     stable_cdf,
-    stable_density,
-    statistic_logJ,
-    statistic_partial_quotients,
     sweep,
 )
 from sudlerlab.errors import (
@@ -35,7 +30,6 @@ from sudlerlab.jones import (
     HValue,
     h_eval,
     jones_J,
-    m_k,
     telescoping_logJ,
     vol_41,
 )
@@ -61,19 +55,14 @@ __all__ = [
     "OstrowskiRep",
     "cf_expand",
     "convergents",
-    "drop_first_digit_map",
     "interval_Ik",
     "ostrowski_encode",
     "parse_alpha",
     "rationals_in_interval",
     "StableLaw",
     "estimate_D",
-    "farey_enumerate",
     "ks_compare",
     "stable_cdf",
-    "stable_density",
-    "statistic_logJ",
-    "statistic_partial_quotients",
     "sweep",
     "EnumerationCapError",
     "PoleError",
@@ -83,7 +72,6 @@ __all__ = [
     "HValue",
     "h_eval",
     "jones_J",
-    "m_k",
     "telescoping_logJ",
     "vol_41",
     "cotangent_V",

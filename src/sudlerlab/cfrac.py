@@ -365,20 +365,6 @@ def ostrowski_digits(table: ConvergentTable, n: int) -> np.ndarray:
     return digits
 
 
-def drop_first_digit_map(N: int, table: ConvergentTable) -> int:
-    """Map N = sum b_l q_l to N' = sum_{l>=1} b_l q'_l, where q'_l = p_l is the
-    level-l denominator of the first-digit-dropped expansion [0; a2, a3, ...].
-
-    Requires a0 = 0 (so p_0 = 0) and b_1(N) < a_2.
-    """
-    if table.cf.a0 != 0:
-        raise PrecondError("drop_first_digit_map requires a0 = 0")
-    rep = ostrowski_encode(N, table)
-    if table.depth >= 2 and rep.digit(1) >= table.partial(2):
-        raise PrecondError("map needs b_1(N) < a_2")
-    return sum(b * table.p(l) for l, b in enumerate(rep.digits))
-
-
 def interval_Ik(cf: CFExpansion, k: int) -> tuple[Fraction, Fraction]:
     """Endpoints of I_{k+1}: the reals whose expansion starts [0; a1..a_{k+1}].
 

@@ -17,15 +17,16 @@ verify's names and verdicts), and `_write_rows` streams one `%` format per
 row, building nothing the size of the file; array columns become Python
 scalars a chunk of rows at a time.  No field needs CSV quoting: the names
 verify writes hold no ',', '"', CR or LF.  Exit codes: 0 success, 2 parse or
-precondition failure (also a missing or malformed config file, an unwritable
-output path, and an evaluation that hits a zero factor or a pole), 3 failed
-checks, 4 resource-cap or convergence abort.
+precondition failure (also a missing, malformed or non-UTF-8 config file, an
+unwritable output path, a failed write to it, and an evaluation that hits a
+zero factor or a pole), 3 failed checks, 4 resource-cap or convergence abort.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import itertools
 import math
 import os
@@ -85,27 +86,29 @@ def _config_from_file(path: str) -> dict:
     values: dict = {}
     known = {f.name for f in fields(Config)}
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise PrecondError(f"cannot read config file {path}: {exc.strerror}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PrecondError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise PrecondError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in _INT_KEYS:
-                try:
-                    val = int(val)
-                except ValueError:
-                    raise PrecondError(
-                        f"{path}:{lineno}: {key} must be an integer, got {val!r}"
-                    ) from None
-            values[key] = val
+    except UnicodeDecodeError as exc:
+        raise PrecondError(f"cannot read config file {path}: not UTF-8 ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise PrecondError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise PrecondError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in _INT_KEYS:
+            try:
+                val = int(val)
+            except ValueError:
+                raise PrecondError(
+                    f"{path}:{lineno}: {key} must be an integer, got {val!r}"
+                ) from None
+        values[key] = val
     return values
 
 
@@ -130,14 +133,25 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+class _OutFile(io.FileIO):
+    """A file whose failed write, also in the flush at close, raises PrecondError."""
+
+    def write(self, b):
+        try:
+            return super().write(b)
+        except OSError as exc:
+            raise PrecondError(f"cannot write {self.name}: {exc.strerror}") from exc
+
+
 def _open_out(path: str | None):
     """A context manager for the CSV destination: the file at path, or stdout."""
     if not path:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", newline="", encoding="utf-8")
+        raw = _OutFile(path, "w")
     except OSError as exc:
         raise PrecondError(f"cannot write {path}: {exc.strerror}") from exc
+    return io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="")
 
 
 # (header, line format) of each CSV output
@@ -195,7 +209,8 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
         hv = h_eval(r)
         cf = cf_expand(hv.x)
         digits = ", ".join(str(a) for a in cf.partials(cf.L))
-        out.write(f"x = {hv.x}\nq = {hv.x.denominator}\ncf = [{cf.a0}; {digits}]\n"
+        cf_text = f"[{cf.a0}; {digits}]" if digits else f"[{cf.a0}]"
+        out.write(f"x = {hv.x}\nq = {hv.x.denominator}\ncf = {cf_text}\n"
                   f"logJ = {_fmt(hv.logJ_x)}\nh = {_fmt(hv.h)}\n"
                   f"psi = {_fmt(hv.psi)}\npsi_star = {_fmt(hv.psi_star)}\n")
     return 0
@@ -353,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="print one evaluation record")
     _add_common_flags(p, subcommand=True)
-    p.add_argument("x", help="rational 'p/q', decimal, or 'cf:a1,a2,...'")
+    p.add_argument("x", help="rational 'p/q', decimal, or 'cf:a1,a2,...'; "
+                             "a negative fraction goes after '--': eval -- -3/7")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("scan", help="CSV of (p, q, x, h, psi, h_model) over F_qmax")

@@ -46,22 +46,16 @@ import contextlib
 import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from sudlerlab.cfrac import cf_expand
 from sudlerlab.errors import EnumerationCapError, PrecondError, QuadratureError
-from sudlerlab.jones import _logJ_rows, jones_J, vol_41
+from sudlerlab.jones import _logJ_rows, vol_41
 from sudlerlab.trig import _BLOCK, ENUM_CAP
 
 __all__ = [
     "StableLaw",
-    "farey_enumerate",
-    "statistic_logJ",
-    "statistic_partial_quotients",
-    "stable_density",
     "stable_cdf",
     "estimate_D",
     "ks_compare",
@@ -74,19 +68,6 @@ EULER_GAMMA = float(np.euler_gamma)
 TAIL_C = 2.0 / math.pi
 
 
-# -- Farey enumeration ---------------------------------------------------------
-
-
-def farey_enumerate(N: int) -> Iterator[Fraction]:
-    """Reduced p/q in (0,1) with q <= N, ascending by q then p, each once."""
-    if N < 2:
-        raise PrecondError(f"need N >= 2, got {N}")
-    for q in range(2, N + 1):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                yield Fraction(p, q)
-
-
 # -- statistics ----------------------------------------------------------------
 
 
@@ -95,25 +76,10 @@ def _stat_logJ_from_mag(logJ_mag, N: int, D: float):
     return logJ_mag / scale - (2.0 / math.pi) * math.log(math.log(N)) - D
 
 
-def statistic_logJ(r, N: int, D: float) -> float:
-    """Normalized log J statistic of r relative to the sweep scale N."""
-    if N < 3:
-        raise PrecondError(f"need N >= 3, got {N}")
-    return float(_stat_logJ_from_mag(jones_J(r), N, D))
-
-
 def _stat_pq_from_sum(sum_a, N: int):
     loglogN = math.log(math.log(N))
     center = (2.0 * loglogN - 2.0 * EULER_GAMMA + 2.0 * math.log(6.0 / math.pi)) / math.pi
     return math.pi * sum_a / (6.0 * math.log(N)) - center
-
-
-def statistic_partial_quotients(r, N: int) -> float:
-    """Normalized partial-quotient-sum statistic of r at sweep scale N."""
-    if N < 3:
-        raise PrecondError(f"need N >= 3, got {N}")
-    cf = cf_expand(Fraction(r))
-    return float(_stat_pq_from_sum(sum(cf.partials(cf.L)), N))
 
 
 # -- stable(1, 1) reference law --------------------------------------------------
@@ -320,11 +286,6 @@ class StableLaw:
 @functools.lru_cache(maxsize=1)
 def _default_law() -> StableLaw:
     return StableLaw()
-
-
-def stable_density(y) -> float:
-    """Density g(y) of the stable(1, 1) law under the shared default config."""
-    return _default_law().density(y)
 
 
 def stable_cdf(y):

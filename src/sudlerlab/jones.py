@@ -25,9 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from sudlerlab.cfrac import CFExpansion, cf_expand, convergents
+from sudlerlab.cfrac import cf_expand, convergents
 from sudlerlab.errors import EnumerationCapError, PrecondError
-from sudlerlab.trig import _BLOCK, ENUM_CAP, _logsumexp, _logsumexp_rows, _prefix_logs
+from sudlerlab.trig import _BLOCK, ENUM_CAP, _logsumexp_rows
 
 __all__ = [
     "HValue",
@@ -35,7 +35,6 @@ __all__ = [
     "jones_J",
     "h_eval",
     "telescoping_logJ",
-    "m_k",
 ]
 
 
@@ -197,25 +196,3 @@ def telescoping_logJ(r) -> tuple[float, float]:
         h_eval(Fraction(t.q(ell - 1), t.q(ell))).h for ell in range(1, cf.L + 1)
     )
     return lhs, rhs
-
-
-def m_k(cf: CFExpansion, k: int) -> float:
-    """M_k: log ratio of 5/6-shifted Jones-type sums at level k.
-
-    Numerator runs over the convergent p_k/q_k with shift (-1)^k (5/6)/q_k,
-    denominator over the level-k convergent (q_k - a_1 p_k)/p_k of the
-    first-digit-dropped 1/alpha - a_1 with the opposite sign.  Requires
-    a0 = 0; depends only on the first k partial quotients.  Raises
-    EnumerationCapError, before allocating, when a sum has more than
-    trig.ENUM_CAP terms.
-    """
-    if k < 1:
-        raise PrecondError(f"need k >= 1, got {k}")
-    if cf.a0 != 0:
-        raise PrecondError("m_k requires a0 = 0")
-    t = convergents(cf, k)
-    p, q = t.p(k), t.q(k)
-    shift = Fraction((-1) ** k * 5, 6)
-    num = _logsumexp(2.0 * _prefix_logs(Fraction(p, q), shift / q, q - 1))
-    den = _logsumexp(2.0 * _prefix_logs(Fraction(q - t.partial(1) * p, p), -shift / p, p - 1))
-    return num - den

@@ -270,7 +270,8 @@ def _farey_sample_stat_pq(N: int, n: int, seed: int) -> list[float]:
     while len(vals) < n:
         p, q = sorted((rng.randint(1, N), rng.randint(1, N)))
         if p < q and math.gcd(p, q) == 1:
-            vals.append(dist.statistic_partial_quotients(Fraction(p, q), N))
+            cf = cf_expand(Fraction(p, q))
+            vals.append(dist._stat_pq_from_sum(sum(cf.partials(cf.L)), N))
     return vals
 
 

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: records, CSV determinism, config, exit codes."""
 
 import csv
+import errno
 import importlib
 import io
 import math
+import os
 import pkgutil
 import subprocess
 import sys
@@ -15,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 import sudlerlab
 from sudlerlab import cli, dist, verify
-from sudlerlab.dist import farey_enumerate
 from sudlerlab.errors import PoleError, ZeroFactorError
+
+from farey import farey_enumerate
 
 
 def run(argv, capsys):
@@ -188,6 +191,19 @@ def test_eval_cf_literal_rules(capsys):
 def test_eval_rejects_periodic_cf_literal(capsys):
     rc, _, err = run(["eval", "cf:1~period:2"], capsys)
     assert rc == 2 and "infinite expansion" in err
+
+
+def test_eval_integer_cf_has_no_semicolon(capsys):
+    # an integer's expansion has no partial quotients: [2], as CFExpansion prints it
+    rc, out, _ = run(["eval", "2"], capsys)
+    assert rc == 0 and _record(out)["cf"] == "[2]"
+
+
+def test_eval_negative_fraction_after_double_dash(capsys):
+    # h is even, so -3/7 gives the record of 3/7; "--" keeps argparse off "-3/7"
+    rc, out, _ = run(["eval", "--", "-3/7"], capsys)
+    rc2, out2, _ = run(["eval", "3/7"], capsys)
+    assert rc == rc2 == 0 and out == out2
 
 
 def test_eval_folds_beyond_unit_interval(capsys):
@@ -527,6 +543,21 @@ def test_unwritable_out_exits_2(argv, tmp_path, capsys):
     assert rc == 2 and err.startswith("error: cannot write")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["eval", "1/3", "--out", "/dev/full"],
+    ["scan", "--qmax", "60", "--out", "/dev/full"],
+    ["dist", "--N", "60", "--out", "/dev/full", "--report", "REST"],
+    ["dist", "--N", "60", "--out", "REST", "--report", "/dev/full"],
+], ids=["eval", "scan", "dist_out", "dist_report"])
+def test_failed_write_exits_2(argv, tmp_path, capsys):
+    # every write to /dev/full fails with ENOSPC; the error names that file only
+    argv = [str(tmp_path / "rest.csv") if a == "REST" else a for a in argv]
+    rc, _, err = run(argv, capsys)
+    assert rc == 2
+    assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
 @pytest.mark.parametrize("flag", ["--out", "--report"])
 def test_dist_unwritable_output_fails_before_sweep(flag, tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
@@ -660,6 +691,14 @@ def test_config_rejects_non_integer_value(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
     rc, _, err = run(["eval", "1/2"], capsys)
     assert rc == 2 and err.startswith("error: ") and "qcap must be an integer" in err
+
+
+def test_config_non_utf8_file_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"\xff\xfeqcap = 5\n")
+    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
+    rc, _, err = run(["eval", "1/3"], capsys)
+    assert rc == 2 and err.startswith(f"error: cannot read config file {cfg}: not UTF-8")
 
 
 def test_config_missing_file_exits_2(tmp_path, capsys, monkeypatch):

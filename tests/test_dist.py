@@ -28,19 +28,19 @@ from sudlerlab.dist import (
     _D_from_rows,
     _partial_quotient_sums,
     _default_law,
+    _stat_logJ_from_mag,
+    _stat_pq_from_sum,
     _sweep_blocks,
     estimate_D,
-    farey_enumerate,
     ks_compare,
     stable_cdf,
-    stable_density,
-    statistic_logJ,
-    statistic_partial_quotients,
     sweep,
 )
 from sudlerlab.errors import EnumerationCapError, PrecondError, QuadratureError
 from sudlerlab.jones import jones_J, vol_41
 from sudlerlab.trig import ENUM_CAP
+
+from farey import farey_enumerate
 
 # (y, pdf, cdf) from scipy.stats.levy_stable(alpha=1, beta=1)
 STABLE_ORACLE = [
@@ -72,9 +72,9 @@ def law():
     return _default_law()
 
 
-def test_density_matches_independent_oracle():
+def test_density_matches_independent_oracle(law):
     for y, pdf, _ in STABLE_ORACLE:
-        assert stable_density(y) == pytest.approx(pdf, abs=1e-9)
+        assert law.density(y) == pytest.approx(pdf, abs=1e-9)
 
 
 def test_cdf_matches_independent_oracle():
@@ -95,11 +95,11 @@ def test_density_is_central_difference_of_cdf(law):
     assert np.max(np.abs(slope - law.density(ys))) <= 1e-8
 
 
-def test_density_is_right_skewed_and_nonnegative():
+def test_density_is_right_skewed_and_nonnegative(law):
     ys = np.linspace(-10.0, 20.0, 301)
-    dens = np.array([stable_density(y) for y in ys])
+    dens = np.array([law.density(y) for y in ys])
     assert np.all(dens >= 0.0)
-    assert stable_density(8.0) > stable_density(-8.0)
+    assert law.density(8.0) > law.density(-8.0)
 
 
 def test_density_normalizes_to_one(law):
@@ -367,8 +367,10 @@ def test_farey_cardinality_matches_totient_sum():
 
 
 def test_farey_rejects_tiny_cap():
-    with pytest.raises(PrecondError):
-        next(farey_enumerate(1))
+    # the sweep is the package's one enumeration of F_N
+    for N in (1, 0, -5):
+        with pytest.raises(PrecondError):
+            sweep(N)
 
 
 # -- normalized statistics ------------------------------------------------------------
@@ -380,20 +382,16 @@ def test_statistic_partial_quotients_closed_form():
     center = (2 * math.log(math.log(N)) - 2 * EULER_GAMMA
               + 2 * math.log(6 / math.pi)) / math.pi
     want = math.pi * 2 / (6 * math.log(N)) - center
-    assert statistic_partial_quotients(Fraction(1, 2), N) == pytest.approx(want, abs=1e-12)
-    # log log N is undefined at N = 1 and negative at N = 2, as in statistic_logJ
-    for N in (1, 2):
-        with pytest.raises(PrecondError):
-            statistic_partial_quotients(Fraction(1, 2), N)
+    cf = cf_expand(Fraction(1, 2))
+    assert sum(cf.partials(cf.L)) == 2
+    assert _stat_pq_from_sum(2, N) == pytest.approx(want, abs=1e-12)
 
 
 def test_statistic_logJ_closed_form():
     r, N, D = Fraction(2, 5), 500, 2.3
     scale = (3 * vol_41() / math.pi**2) * math.log(N)
     want = jones_J(r) / scale - (2 / math.pi) * math.log(math.log(N)) - D
-    assert statistic_logJ(r, N, D) == pytest.approx(want, abs=1e-12)
-    with pytest.raises(PrecondError):
-        statistic_logJ(r, 2, D)
+    assert _stat_logJ_from_mag(jones_J(r), N, D) == pytest.approx(want, abs=1e-12)
 
 
 # -- sweeps and the centering constant -----------------------------------------------

@@ -1,4 +1,5 @@
-"""Jones values, the volume constant, h/psi readings, telescoping, and M_k."""
+"""Jones values, the volume constant, h/psi readings, telescoping, and the
+5/6-shifted Jones sums of the paper's M_k."""
 
 import dataclasses
 import math
@@ -16,11 +17,10 @@ from sudlerlab.jones import (
     _logJ_rows,
     h_eval,
     jones_J,
-    m_k,
     telescoping_logJ,
     vol_41,
 )
-from sudlerlab.cfrac import CFExpansion, cf_expand
+from sudlerlab.cfrac import CFExpansion, cf_expand, convergents
 from sudlerlab.trig import ENUM_CAP, _logsumexp, _prefix_logs, sudler_prefix_logmags
 
 
@@ -338,24 +338,30 @@ def test_telescoping_exhaustive_small():
 
 
 # -- M_k -------------------------------------------------------------------------
+# M_k = log of the sum over p_k/q_k shifted by (-1)^k (5/6)/q_k, minus log of
+# the sum over (q_k - a_1 p_k)/p_k, the level-(k-1) convergent of the tail
+# 1/alpha - a_1, with the opposite shift.
 
 
 def test_m1_reduction():
-    # denominator sum at k=1 has a single N=0 term, so M_1 is the numerator alone
+    # the tail's level-0 sum has a single N = 0 term, so M_1 is the numerator alone
     cf = CFExpansion.from_partial_quotients(0, [3, 2, 5])
-    got = m_k(cf, 1)
-    want = shifted_logJ(1, 3, Fraction(-5, 18))
-    assert got == want
+    t, tt = convergents(cf, 1), convergents(cf.tail(), 0)
+    assert (t.p(1), t.q(1)) == (1, 3)
+    assert shifted_logJ(tt.p(0), tt.q(0), Fraction(5, 6)) == 0.0
+    num = shifted_logJ(1, 3, Fraction(-5, 18))
     brute = math.log(brute_shifted_J(1, 3, -5.0 / 18.0))
-    assert abs(got - brute) <= 1e-10
+    assert abs(num - brute) <= 1e-10
 
 
 def test_mk_shifted_sum_against_brute_force():
-    from sudlerlab.cfrac import convergents
-
     cf = cf_expand(Fraction(13, 30))
     for k in range(1, 4):
-        assert math.isfinite(m_k(cf, k))
+        t, tt = convergents(cf, k), convergents(cf.tail(), k - 1)
+        p, q = t.p(k), t.q(k)
+        num = shifted_logJ(p, q, Fraction((-1) ** k * 5, 6 * q))
+        den = shifted_logJ(tt.p(k - 1), p, Fraction((-1) ** (k - 1) * 5, 6 * p))
+        assert math.isfinite(num - den)
     # spot-check the k=2 numerator via brute-force floats
     t = convergents(cf, 2)
     num = shifted_logJ(t.p(2), t.q(2), Fraction(5, 6 * t.q(2)))
@@ -364,23 +370,15 @@ def test_mk_shifted_sum_against_brute_force():
 
 
 def test_mk_denominator_is_the_tail_convergent():
-    # oracle: the denominator sum at level k - 1 of the tail's own table
-    from sudlerlab.cfrac import convergents
-
+    # oracle: the tail's own table; its level-(k-1) sum is M_k's denominator
     cfs = [CFExpansion.preset(n) for n in ("golden", "sqrt2inv", "e-2")]
     cfs.append(CFExpansion.from_partial_quotients(0, [3, 1, 4, 1, 5, 9, 2, 6]))
     for cf in cfs:
         for k in range(1, 9):
             t, tt = convergents(cf, k), convergents(cf.tail(), k - 1)
-            num = shifted_logJ(t.p(k), t.q(k), Fraction((-1) ** k * 5, 6 * t.q(k)))
-            qp = tt.q(k - 1)
-            den = shifted_logJ(tt.p(k - 1), qp, Fraction((-1) ** (k - 1) * 5, 6 * qp))
-            assert m_k(cf, k) == num - den
-
-
-def test_mk_depends_only_on_leading_quotients():
-    a = CFExpansion.from_partial_quotients(0, [2, 3, 4, 5, 3, 2])
-    b = CFExpansion.from_partial_quotients(0, [2, 3, 4, 5, 3, 6, 4])
-    for k in range(1, 6):
-        assert m_k(a, k) == m_k(b, k)
-    assert abs(m_k(a, 6) - m_k(b, 6)) > 1e-6
+            p, q = t.p(k), t.q(k)
+            assert (tt.p(k - 1), tt.q(k - 1)) == (q - t.partial(1) * p, p)
+            den = shifted_logJ(tt.p(k - 1), p, Fraction((-1) ** (k - 1) * 5, 6 * p))
+            if p <= 200:
+                brute = brute_shifted_J(tt.p(k - 1), p, (-1) ** (k - 1) * 5.0 / (6.0 * p))
+                assert abs(den - math.log(brute)) <= 1e-9

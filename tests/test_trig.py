@@ -14,11 +14,9 @@ from sudlerlab.cfrac import (
     CFExpansion,
     cf_expand,
     convergents,
-    drop_first_digit_map,
     ostrowski_encode,
 )
 from sudlerlab import trig
-from sudlerlab.jones import m_k
 from sudlerlab.errors import (
     EnumerationCapError,
     PoleError,
@@ -255,11 +253,9 @@ def _cap_peak_bytes(fn):
 
 
 @pytest.mark.parametrize("call", [
-    # q_17 of e - 2 is 4,996,032: the level-17 shifted Jones sum is refused
-    lambda: m_k(CFExpansion.preset("e-2"), 17),
     lambda: shifted_sudler(Fraction(1, 3), Fraction(1, 7), trig.ENUM_CAP + 1),
     lambda: cotangent_sum(Fraction(1, 3), Fraction(1, 7), trig.ENUM_CAP + 1),
-], ids=["m_k", "shifted_sudler", "cotangent_sum"])
+], ids=["shifted_sudler", "cotangent_sum"])
 def test_residue_walks_refuse_past_cap(call):
     # refused before the residues are made: ENUM_CAP int64 residues take 16 MiB
     assert _cap_peak_bytes(call) < 1 << 20
@@ -806,9 +802,7 @@ def test_ql_diff_hypothesis_rejected():
 
 @pytest.mark.parametrize("call", [
     lambda cf, t: ql_diff_check(1, 2, t),
-    lambda cf, t: m_k(cf, 2),
-    lambda cf, t: drop_first_digit_map(0, t),
-], ids=["ql_diff_check", "m_k", "drop_first_digit_map"])
+], ids=["ql_diff_check"])
 def test_first_quotient_drop_requires_a0_zero(call):
     # the q'_l = p_l identities hold only when a0 = 0
     cf = CFExpansion(1, [2, 3, 4])

@@ -23,10 +23,11 @@ from sudlerlab.cfrac import (
     ostrowski_encode,
     rationals_in_interval,
 )
-from sudlerlab.dist import farey_enumerate
 from sudlerlab.errors import EnumerationCapError, PrecondError
 from sudlerlab.jones import h_eval, vol_41
 from sudlerlab.trig import ENUM_CAP, epsilon_vector, shifted_sudler
+
+from farey import farey_enumerate
 
 
 def _make(digits):
