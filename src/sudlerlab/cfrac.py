@@ -18,7 +18,6 @@ well-defined object and the three-term recursions hold exactly.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence

@@ -18,8 +18,9 @@ row, building nothing the size of the file; array columns become Python
 scalars a chunk of rows at a time.  No field needs CSV quoting: the names
 verify writes hold no ',', '"', CR or LF.  Exit codes: 0 success, 2 parse or
 precondition failure (also a missing, malformed or non-UTF-8 config file, an
-unwritable output path, a failed write to it, and an evaluation that hits a
-zero factor or a pole), 3 failed checks, 4 resource-cap or convergence abort.
+unwritable output path, a failed write to it or to stdout, and an evaluation
+that hits a zero factor or a pole), 3 failed checks, 4 resource-cap or
+convergence abort.
 """
 
 from __future__ import annotations
@@ -143,10 +144,27 @@ class _OutFile(io.FileIO):
             raise PrecondError(f"cannot write {self.name}: {exc.strerror}") from exc
 
 
+class _Stdout:
+    """sys.stdout as each call finds it; a failed write or flush raises PrecondError
+    once the stream's descriptor points at os.devnull, where the flush at exit cannot fail."""
+
+    def __getattr__(self, name):  # write, writelines and flush
+        def call(*args):
+            try:
+                return getattr(sys.stdout, name)(*args)
+            except OSError as exc:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise PrecondError(f"cannot write stdout: {exc.strerror}") from exc
+        return call
+
+
+_STDOUT = _Stdout()
+
+
 def _open_out(path: str | None):
     """A context manager for the CSV destination: the file at path, or stdout."""
     if not path:
-        return contextlib.nullcontext(sys.stdout)
+        return contextlib.nullcontext(_STDOUT)
     try:
         raw = _OutFile(path, "w")
     except OSError as exc:
@@ -325,11 +343,10 @@ def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:
         law = _default_law()
         n = values.size
         ks = _ks_sorted(values, law)
-        print(f"stat = {args.stat}")
-        print(f"n = {n}")
-        print(f"KS = {_fmt(ks)}")
+        summary = f"stat = {args.stat}\nn = {n}\nKS = {_fmt(ks)}\n"
         if args.stat == "logJ":
-            print(f"D = {_fmt(D)}  (estimated over F_{Ncap})")
+            summary += f"D = {_fmt(D)}  (estimated over F_{Ncap})\n"
+        _STDOUT.write(summary)
         if report is not None:
             _write_rows(report, REPORT_CSV, _report_rows(values, law))
     return 0
@@ -401,7 +418,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = ap.parse_args(argv)
         cfg = load_config(args)
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        _STDOUT.flush()  # a write still buffered fails here, not at exit
+        return code
     except (PrecondError, ZeroFactorError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

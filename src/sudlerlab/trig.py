@@ -281,15 +281,15 @@ def kubert_rhs(r, x) -> float:
     return log_f(x)
 
 
-def epsilon_vector(rep: OstrowskiRep, table: ConvergentTable) -> tuple[Fraction, ...]:
-    """Shift corrections eps_l of rep, one exact Fraction per digit position.
+def epsilon_vector(rep: OstrowskiRep) -> tuple[Fraction, ...]:
+    """Shift corrections eps_l of rep over rep.table, one exact Fraction per digit.
 
     eps_l = q_l * sum_{m>l} (-1)^(l+m) b_m dist_m, via suffix sums of theta.
     Only positions with b_l >= 1 enter the product form, but all are returned.
     For a0 = 0 the same digits at alpha' = 1/alpha - a_1 (q'_l = p_l,
     theta'_l = -theta_l/alpha) give eps'_l = -eps_l p_l/(q_l alpha).
     """
-    digits = rep.digits
+    digits, table = rep.digits, rep.table
     K = len(digits)
     tail = Fraction(0)
     eps = [Fraction(0)] * K
@@ -308,7 +308,7 @@ def product_form_eval(rep: OstrowskiRep) -> float:
     all-zero digit string gives the empty product, log 1 = 0.
     """
     table = rep.table
-    eps = epsilon_vector(rep, table)
+    eps = epsilon_vector(rep)
     alpha = table.alpha_exact
     acc = []
     for ell, b_l in enumerate(rep.digits):

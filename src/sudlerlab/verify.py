@@ -339,7 +339,7 @@ def _tail_parts(table: ConvergentTable, rep: OstrowskiRep, ell: int):
     if b_ell > 0:
         alpha = table.alpha_exact
         q_ell = table.q(ell)
-        sh = Fraction((-1) ** ell * epsilon_vector(rep, table)[ell], q_ell)
+        sh = Fraction((-1) ** ell * epsilon_vector(rep)[ell], q_ell)
         lhs = (shifted_sudler(alpha, sh, b_ell * q_ell)
                - shifted_sudler(1 / alpha - a1, sh / alpha, b_ell * qp_ell))
     s = sum(table.partial(m) for m in range(2, ell + 1))
@@ -649,7 +649,7 @@ def epsilon_cases(seed: int = 0) -> list[CheckCase]:
     for table in _coprime_tables(rng, 200, 10, 3000, 1):
         L = table.depth
         rep = ostrowski_encode(int(rng.integers(0, table.q(L))), table)
-        eps = epsilon_vector(rep, table)
+        eps = epsilon_vector(rep)
         for ell in range(L):
             if rep.digit(ell) < 1:
                 continue

@@ -396,7 +396,7 @@ def _check_tail_rows(cf, d, Ns):
         assert tt.theta(l - 1) == -t.theta(l) / alpha
     for N in Ns:
         rep = ostrowski_encode(N % t.q(d), t)
-        eps = epsilon_vector(rep, t)
+        eps = epsilon_vector(rep)
         want = _epsilon_primed_recurrence(rep, tt)
         assert [-e * t.p(l) / (t.q(l) * alpha) for l, e in enumerate(eps)] == want
 

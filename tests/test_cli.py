@@ -558,6 +558,34 @@ def test_failed_write_exits_2(argv, tmp_path, capsys):
     assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["eval", "1/3"],
+    ["scan", "--qmax", "60"],
+    ["verify", "--suite", "epsilon"],
+    ["dist", "--N", "60", "--out", "REST"],
+], ids=["eval", "scan", "verify", "dist"])
+def test_failed_stdout_write_exits_2(argv, tmp_path):
+    # one error line: no traceback, and no "Exception ignored" from the flush at exit
+    argv = [str(tmp_path / "rest.csv") if a == "REST" else a for a in argv]
+    with open("/dev/full", "w") as full:
+        res = subprocess.run([sys.executable, "-m", "sudlerlab.cli"] + argv, stdout=full,
+                             stderr=subprocess.PIPE, text=True, timeout=120)
+    assert res.returncode == 2
+    assert res.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_stdout_closed_early_exits_2():
+    # F_300 is ~2 MB of CSV, far past a pipe's buffer, so the write meets the closed end
+    with subprocess.Popen([sys.executable, "-m", "sudlerlab.cli", "scan", "--qmax", "300"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == cli.SCAN_CSV[0] + "\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+    assert err == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
 @pytest.mark.parametrize("flag", ["--out", "--report"])
 def test_dist_unwritable_output_fails_before_sweep(flag, tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
@@ -739,7 +767,24 @@ def test_cli_import_loads_no_test_only_dependency():
     assert res.stdout.strip() == "[]"
 
 
-_MODULES = ["sudlerlab"] + [f"sudlerlab.{m.name}" for m in pkgutil.iter_modules(sudlerlab.__path__)]
+def _loaded_after(module):
+    """The sudlerlab modules a fresh interpreter holds after `import module`."""
+    code = (f"import sys, {module}; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'sudlerlab')))")
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.split())
+
+
+def test_module_import_loads_only_its_dependencies():
+    # the package root imports nothing, so a module brings only what it uses
+    assert _loaded_after("sudlerlab.cfrac") == {"sudlerlab", "sudlerlab.cfrac", "sudlerlab.errors"}
+    unused = {"sudlerlab.dist", "sudlerlab.verify", "sudlerlab.cli", "sudlerlab.frozen"}
+    assert _loaded_after("sudlerlab.jones") & unused == set()
+
+
+_MODULES = [f"sudlerlab.{m.name}" for m in pkgutil.iter_modules(sudlerlab.__path__)]
 _EXPORTING = [name for name in _MODULES if hasattr(importlib.import_module(name), "__all__")]
 
 

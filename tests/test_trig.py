@@ -330,7 +330,7 @@ def test_kubert_identity_property(q, p, d, j):
 def test_epsilon_zero_digits():
     t = convergents(CFExpansion.from_partial_quotients(0, [2, 3, 4]), 3)
     rep = ostrowski_encode(0, t)
-    assert all(e == 0 for e in epsilon_vector(rep, t))
+    assert all(e == 0 for e in epsilon_vector(rep))
 
 
 def test_epsilon_single_digit_formula():
@@ -341,7 +341,7 @@ def test_epsilon_single_digit_formula():
     digits = [0] * 4
     digits[m] = b_m
     rep = OstrowskiRep(tuple(digits), t)
-    ev = epsilon_vector(rep, t)
+    ev = epsilon_vector(rep)
     for ell in range(4):
         if ell < m:
             assert ev[ell] == (-1) ** (ell + m) * t.q(ell) * b_m * t.dist(m)
@@ -356,7 +356,7 @@ def test_epsilon_lemma_bounds_exhaustive():
         K = len(digits)
         assert t.q(K) <= 10**3
         for rep in (ostrowski_encode(N, t) for N in range(t.q(K))):
-            ev = epsilon_vector(rep, t)
+            ev = epsilon_vector(rep)
             for ell in range(K):
                 if rep.digit(ell) < 1:
                     continue
@@ -383,7 +383,7 @@ def test_epsilon_primed_sign_and_zero():
     tt = convergents(cf.tail(), 2)
     rep = ostrowski_encode(t.q(3) - 1, t)
     # eps' read from alpha's own table: eps'_l = -eps_l p_l/(q_l alpha)
-    ev = [-e * t.p(l) / (t.q(l) * t.alpha_exact) for l, e in enumerate(epsilon_vector(rep, t))]
+    ev = [-e * t.p(l) / (t.q(l) * t.alpha_exact) for l, e in enumerate(epsilon_vector(rep))]
     assert ev[0] == 0
     # direct evaluation of the defining sum
     for ell in range(1, 3):

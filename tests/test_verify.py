@@ -254,7 +254,7 @@ def loop_tail_blocks(table, tail_table, rep, ell):
     sgn = (-1) ** ell
     q_ell, qp_ell = table.q(ell), tail_table.q(ell - 1)
     d, dp = table.dist(ell), tail_table.dist(ell - 1)
-    eps = epsilon_vector(rep, table)[ell]
+    eps = epsilon_vector(rep)[ell]
     eps_p = qp_ell * sum((-1) ** (ell + m - 1) * rep.digit(m) * tail_table.dist(m - 1)
                          for m in range(ell + 1, len(rep.digits)))
     lhs = 0.0
