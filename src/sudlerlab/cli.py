@@ -10,17 +10,17 @@ its record there too.  A size past trig.ENUM_CAP is refused before that:
 `eval` checks both denominators h reads, and `scan --near` builds its window
 first and checks the window's denominators.
 Outputs are deterministic: CSV files carry a header row, '.' decimals and
-17 significant digits, and rerunning a command with the same config and
-inputs reproduces the bytes exactly.  Each CSV output states its header and
+17 significant digits, and rerunning a command with the same arguments
+reproduces the bytes exactly.  Each CSV output states its header and
 line format once (`%d` for integer columns, `%.17g` for floats, `%s` for
 verify's names and verdicts), and `_write_rows` streams one `%` format per
 row, building nothing the size of the file; array columns become Python
 scalars a chunk of rows at a time.  No field needs CSV quoting: the names
-verify writes hold no ',', '"', CR or LF.  Exit codes: 0 success, 2 parse or
-precondition failure (also a missing, malformed or non-UTF-8 config file, an
-unwritable output path, a failed write to it or to stdout, and an evaluation
-that hits a zero factor or a pole), 3 failed checks, 4 resource-cap or
-convergence abort.
+verify writes hold no ',', '"', CR or LF.  Each subcommand takes only the
+flags it reads, after its name.  Exit codes: 0 success, 2 parse or
+precondition failure (also an unwritable output path, a failed write to it
+or to stdout, help included, and an evaluation that hits a zero factor or a
+pole), 3 failed checks, 4 resource-cap or convergence abort.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -59,72 +58,6 @@ from sudlerlab.errors import (
 )
 from sudlerlab.jones import h_eval, vol_41
 from sudlerlab.trig import _BLOCK, ENUM_CAP
-
-ENV_CONFIG = "SUDLERLAB_CONFIG"
-
-
-@dataclass(frozen=True)
-class Config:
-    """Process-wide knobs; flags override the optional key=value file."""
-
-    qcap: int = verify.QCAP
-    Ncap: int = verify.NCAP
-    threads: int = 1
-    output_path: str | None = None
-
-    def validate(self) -> "Config":
-        if self.qcap < 2 or self.Ncap < 2:
-            raise PrecondError("qcap and Ncap must be >= 2")
-        if self.threads < 1:
-            raise PrecondError("threads >= 1 required")
-        return self
-
-
-_INT_KEYS = {"qcap", "Ncap", "threads"}
-
-
-def _config_from_file(path: str) -> dict:
-    values: dict = {}
-    known = {f.name for f in fields(Config)}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise PrecondError(f"cannot read config file {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise PrecondError(f"cannot read config file {path}: not UTF-8 ({exc.reason})") from None
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise PrecondError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise PrecondError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in _INT_KEYS:
-            try:
-                val = int(val)
-            except ValueError:
-                raise PrecondError(
-                    f"{path}:{lineno}: {key} must be an integer, got {val!r}"
-                ) from None
-        values[key] = val
-    return values
-
-
-def load_config(args: argparse.Namespace) -> Config:
-    """Defaults, then the SUDLERLAB_CONFIG file, then explicit flags."""
-    cfg = Config()
-    path = os.environ.get(ENV_CONFIG)
-    if path:
-        cfg = replace(cfg, **_config_from_file(path))
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in fields(Config)
-        if getattr(args, f.name, None) is not None
-    }
-    return replace(cfg, **overrides).validate()
 
 
 # -- formatting ---------------------------------------------------------------------
@@ -172,6 +105,14 @@ def _open_out(path: str | None):
     return io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="")
 
 
+def _same_file(a: str, b: str) -> bool:
+    """One inode, or, while either is missing, one path once symlinks are resolved."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 # (header, line format) of each CSV output
 DIST_CSV = ("p,q,sum_partial_quotients,logJ,stat_logJ,stat_pq",
             "%d,%d,%d,%.17g,%.17g,%.17g")
@@ -217,13 +158,13 @@ def parse_x(text: str) -> Fraction:
 # -- subcommands ---------------------------------------------------------------------
 
 
-def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     r = parse_x(args.x)
     # h_eval reads the Jones sums of x and of 1/x, in that order
     for q in (r.denominator, abs(r.numerator)):
         if q > ENUM_CAP:
             raise EnumerationCapError(f"denominator q = {q} exceeds cap {ENUM_CAP}")
-    with _open_out(cfg.output_path) as out:
+    with _open_out(args.out) as out:
         hv = h_eval(r)
         cf = cf_expand(hv.x)
         digits = ", ".join(str(a) for a in cf.partials(cf.L))
@@ -256,9 +197,11 @@ def _scan_fractions(qmax: int, near: float, radius: float) -> list[Fraction]:
     return sorted(kept, key=lambda r: (r.denominator, r.numerator))
 
 
-def cmd_scan(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_scan(args: argparse.Namespace) -> int:
     if args.qmax < 2:
         raise PrecondError(f"--qmax must be >= 2, got {args.qmax}")
+    if args.threads < 1:
+        raise PrecondError(f"--threads must be >= 1, got {args.threads}")
     if (args.near is None) != (args.radius is None):
         raise PrecondError("--near and --radius go together")
     if args.near is not None and not (math.isfinite(args.near) and math.isfinite(args.radius)):
@@ -271,9 +214,9 @@ def cmd_scan(args: argparse.Namespace, cfg: Config) -> int:
         over = [r.denominator for r in window if r.denominator > ENUM_CAP]
         if over:
             raise EnumerationCapError(f"denominator q = {over[0]} exceeds cap {ENUM_CAP}")
-    with _open_out(cfg.output_path) as out:
+    with _open_out(args.out) as out:
         if args.near is None:
-            table = sweep(args.qmax, threads=cfg.threads)
+            table = sweep(args.qmax, threads=args.threads)
             p, q = table["p"], table["q"]
             x, h = _h_rows(table)
         else:
@@ -287,12 +230,20 @@ def cmd_scan(args: argparse.Namespace, cfg: Config) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
-    kwargs = {"continuity": {"qcap": cfg.qcap}, "th3": {"Ncap": cfg.Ncap}}.get(args.suite, {})
-    for name, size in kwargs.items():
+def cmd_verify(args: argparse.Namespace) -> int:
+    kwargs = {}  # a size left unset is the suite's own default
+    for name, suite in (("qcap", "continuity"), ("Ncap", "th3")):
+        size = getattr(args, name.lower())
+        if size is None:
+            continue
+        if args.suite != suite:
+            raise PrecondError(f"--{name.lower()} is read only by --suite {suite}")
+        if size < 2:
+            raise PrecondError(f"--{name.lower()} must be >= 2, got {size}")
         if size > ENUM_CAP:
             raise EnumerationCapError(f"{name} {size} exceeds cap {ENUM_CAP}")
-    with _open_out(cfg.output_path) as out:
+        kwargs[name] = size
+    with _open_out(args.out) as out:
         cases = verify.run_suite(args.suite, **kwargs)
         _write_rows(out, VERIFY_CSV, (
             (c.check_id, c.case_id, c.lhs, c.rhs, c.margin, c.passed) for c in cases))
@@ -308,17 +259,22 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     return 3 if failed else 0
 
 
-def cmd_dist(args: argparse.Namespace, cfg: Config) -> int:
-    Ncap = min(args.N, cfg.Ncap)
+def cmd_dist(args: argparse.Namespace) -> int:
+    Ncap = min(args.N, args.ncap)
     if Ncap < 50:
         raise PrecondError(f"min(--N, --ncap) must be >= 50, got {Ncap}")
+    if args.threads < 1:
+        raise PrecondError(f"--threads must be >= 1, got {args.threads}")
     if args.N > ENUM_CAP:
         raise EnumerationCapError(f"N {args.N} exceeds cap {ENUM_CAP}")
+    if args.out and args.report and _same_file(args.out, args.report):
+        # the report would overwrite the head of the sweep CSV
+        raise PrecondError(f"--out and --report name one file: {args.report}")
     with contextlib.ExitStack() as files:
         # both outputs are opened before the sweep, so a bad path fails at once
-        out = files.enter_context(_open_out(cfg.output_path))
+        out = files.enter_context(_open_out(args.out))
         report = files.enter_context(_open_out(args.report)) if args.report else None
-        blocks = _sweep_blocks(args.N, threads=cfg.threads)
+        blocks = _sweep_blocks(args.N, threads=args.threads)
         # D needs all of F_Ncap: the blocks up to the one that reaches q = Ncap
         head = []
         for rows in blocks:
@@ -363,51 +319,53 @@ def _report_rows(ys: np.ndarray, law):
 # -- driver --------------------------------------------------------------------------
 
 
-def _add_common_flags(ap: argparse.ArgumentParser, subcommand: bool) -> None:
-    # registered on the top-level parser and again on every subparser, so
-    # they can be given on either side of the subcommand; the subparser
-    # copies default to SUPPRESS so they never clobber a prefix value
-    kw = {"default": argparse.SUPPRESS} if subcommand else {}
-    ap.add_argument("--qcap", type=int, **kw)
-    ap.add_argument("--ncap", type=int, dest="Ncap", **kw)
-    ap.add_argument("--threads", type=int, **kw)
-    ap.add_argument("--out", dest="output_path", metavar="OUT",
-                    help="output CSV path (default: stdout)", **kw)
+class _Parser(argparse.ArgumentParser):
+    """argparse, with help written through _STDOUT: argparse drops a failed write."""
+
+    def print_help(self):
+        _STDOUT.write(self.format_help())
+        _STDOUT.flush()
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sudlerlab",
         description="Sudler products, figure-eight Jones values, and h(x) checks",
     )
-    _add_common_flags(ap, subcommand=False)
     sub = ap.add_subparsers(dest="command", required=True)
+    out_help = "output path (default: stdout)"
+    threads_help = "worker processes, at most the usable CPUs (default: 1)"
 
     p = sub.add_parser("eval", help="print one evaluation record")
-    _add_common_flags(p, subcommand=True)
     p.add_argument("x", help="rational 'p/q', decimal, or 'cf:a1,a2,...'; "
                              "a negative fraction goes after '--': eval -- -3/7")
+    p.add_argument("--out", help=out_help)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("scan", help="CSV of (p, q, x, h, psi, h_model) over F_qmax")
-    _add_common_flags(p, subcommand=True)
     p.add_argument("--qmax", type=int, required=True)
     # argparse reads "-1e-05" as an option, so that form needs the "="
     p.add_argument("--near", type=float,
                    help="window center; write a negative exponent as --near=-1e-05")
     p.add_argument("--radius", type=float,
                    help="window half-width; write a negative exponent as --radius=-1e-05")
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
+    p.add_argument("--out", help=out_help)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="run one check suite, write the report CSV")
-    _add_common_flags(p, subcommand=True)
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
+    p.add_argument("--qcap", type=int, help=f"continuity only (default: {verify.QCAP})")
+    p.add_argument("--ncap", type=int, help=f"th3 only (default: {verify.NCAP})")
+    p.add_argument("--out", help=out_help)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dist", help="Farey sweep with normalized statistics")
-    _add_common_flags(p, subcommand=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--stat", choices=("logJ", "pq"), default="pq")
+    p.add_argument("--ncap", type=int, default=verify.NCAP, help="D over F_min(N, ncap)")
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
+    p.add_argument("--out", help=out_help)
     p.add_argument("--report", help="also write (y, emp_cdf, stable_cdf) CSV here")
     p.set_defaults(func=cmd_dist)
     return ap
@@ -417,8 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        cfg = load_config(args)
-        code = args.func(args, cfg)
+        code = args.func(args)
         _STDOUT.flush()  # a write still buffered fails here, not at exit
         return code
     except (PrecondError, ZeroFactorError, PoleError) as exc:

@@ -46,6 +46,7 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 from typing import Iterator
 
 import numpy as np
@@ -392,8 +393,10 @@ def _sweep_blocks(N: int, threads: int = 1) -> Iterator[np.ndarray]:
             from concurrent.futures import ProcessPoolExecutor
 
             # fork starts every worker at the first submit, so ask for no more
-            # workers than there are tasks
-            workers = min(threads, math.ceil(len(qs) / _SWEEP_CHUNK))
+            # workers than there are tasks or CPUs this process may run on
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            workers = min(threads, cpus, math.ceil(len(qs) / _SWEEP_CHUNK))
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             window = 4 * workers * _SWEEP_CHUNK
             rows = itertools.chain.from_iterable(

@@ -76,7 +76,7 @@ __all__ = [
     "KASHAEV_INSTANCES",
 ]
 
-# default qcap of the continuity suite and Ncap of th3; cli.Config reads both
+# default qcap of the continuity suite and Ncap of th3, and of `dist --ncap`
 QCAP = 10**4
 NCAP = 200
 

@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior: records, CSV determinism, config, exit codes."""
+"""End-to-end CLI behavior: records, CSV determinism, flags, exit codes."""
 
 import csv
 import errno
@@ -220,7 +220,7 @@ def test_eval_folds_beyond_unit_interval(capsys):
 
 def test_scan_qmax80_row_count(tmp_path, capsys):
     path = tmp_path / "scan.csv"
-    rc, _, _ = run(["--out", str(path), "scan", "--qmax", "80"], capsys)
+    rc, _, _ = run(["scan", "--qmax", "80", "--out", str(path)], capsys)
     assert rc == 0
     rows = list(csv.DictReader(path.open()))
     assert len(rows) == 1965
@@ -229,16 +229,16 @@ def test_scan_qmax80_row_count(tmp_path, capsys):
 
 def test_scan_reruns_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(["--out", str(a), "scan", "--qmax", "40"], capsys)
-    run(["--out", str(b), "scan", "--qmax", "40"], capsys)
+    run(["scan", "--qmax", "40", "--out", str(a)], capsys)
+    run(["scan", "--qmax", "40", "--out", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_scan_window_filter(tmp_path, capsys):
     path = tmp_path / "w.csv"
     rc, _, _ = run(
-        ["--out", str(path), "scan", "--qmax", "200", "--near", "0.1",
-         "--radius", "0.01"], capsys)
+        ["scan", "--qmax", "200", "--near", "0.1", "--radius", "0.01",
+         "--out", str(path)], capsys)
     assert rc == 0
     rows = list(csv.DictReader(path.open()))
     assert rows and all(abs(float(r["x"]) - 0.1) <= 0.01 for r in rows)
@@ -305,7 +305,7 @@ def test_scan_model_column(tmp_path, capsys):
     from sudlerlab.jones import vol_41
 
     path = tmp_path / "m.csv"
-    run(["--out", str(path), "scan", "--qmax", "10"], capsys)
+    run(["scan", "--qmax", "10", "--out", str(path)], capsys)
     for r in csv.DictReader(path.open()):
         x = float(r["x"])
         want = vol_41() / (2 * math.pi * x) - 1.5 * math.log(x)
@@ -329,15 +329,15 @@ def _oracle_scan(qmax):
 @pytest.mark.parametrize("qmax", [2, 3, 80])
 def test_scan_from_sweep_matches_h_eval_oracle(qmax, tmp_path, capsys):
     path = tmp_path / "scan.csv"
-    rc, _, _ = run(["--out", str(path), "scan", "--qmax", str(qmax)], capsys)
+    rc, _, _ = run(["scan", "--qmax", str(qmax), "--out", str(path)], capsys)
     assert rc == 0
     assert path.read_bytes() == _oracle_scan(qmax).encode()
 
 
 def test_scan_threads_agree(tmp_path, capsys):
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
-    run(["--out", str(one), "scan", "--qmax", "120", "--threads", "1"], capsys)
-    run(["--out", str(two), "scan", "--qmax", "120", "--threads", "2"], capsys)
+    run(["scan", "--qmax", "120", "--threads", "1", "--out", str(one)], capsys)
+    run(["scan", "--qmax", "120", "--threads", "2", "--out", str(two)], capsys)
     assert one.read_bytes() == two.read_bytes()
 
 
@@ -351,7 +351,7 @@ def test_scan_requires_radius_with_near(capsys):
 
 def test_verify_epsilon_report(tmp_path, capsys):
     path = tmp_path / "eps.csv"
-    rc, _, err = run(["--out", str(path), "verify", "--suite", "epsilon"], capsys)
+    rc, _, err = run(["verify", "--suite", "epsilon", "--out", str(path)], capsys)
     assert rc == 0 and "4 cases passed" in err
     rows = list(csv.DictReader(path.open()))
     assert [list(rows[0])] == [["check_id", "case_id", "lhs", "rhs", "margin", "passed"]]
@@ -360,7 +360,7 @@ def test_verify_epsilon_report(tmp_path, capsys):
 
 def test_verify_prints_worst_margin_per_check(tmp_path, capsys):
     path = tmp_path / "eps.csv"
-    rc, _, err = run(["--out", str(path), "verify", "--suite", "epsilon"], capsys)
+    rc, _, err = run(["verify", "--suite", "epsilon", "--out", str(path)], capsys)
     assert rc == 0
     rows = list(csv.DictReader(path.open()))
     want = {}
@@ -381,8 +381,8 @@ def test_verify_failing_suite_exits_3(tmp_path, capsys, monkeypatch):
         return [verify._case("fake", "always_fails", 0.0, 1.0)]
 
     monkeypatch.setitem(verify.SUITES, "epsilon", fake_suite)
-    rc, _, err = run(["--out", str(tmp_path / "f.csv"), "verify",
-                      "--suite", "epsilon"], capsys)
+    rc, _, err = run(["verify", "--suite", "epsilon", "--out", str(tmp_path / "f.csv")],
+                     capsys)
     assert rc == 3 and "1/1 cases failed" in err
     assert "  fake: 1 cases, worst margin -1" in err
 
@@ -409,7 +409,7 @@ def test_verify_unknown_suite_is_parse_error(capsys):
 
 def test_dist_small_sweep(tmp_path, capsys):
     path = tmp_path / "d.csv"
-    rc, out, _ = run(["--out", str(path), "dist", "--N", "60", "--stat", "pq"],
+    rc, out, _ = run(["dist", "--N", "60", "--stat", "pq", "--out", str(path)],
                      capsys)
     assert rc == 0
     assert "KS = " in out and "stat = pq" in out
@@ -517,20 +517,6 @@ def test_dist_unconverged_stable_law_exits_4(capsys, monkeypatch):
     assert rc == 4 and "quadrature did not converge" in err
 
 
-def test_global_flags_accepted_after_subcommand(tmp_path, capsys):
-    # --out and friends work on either side of the subcommand
-    post = tmp_path / "post.csv"
-    pre = tmp_path / "pre.csv"
-    rc, _, _ = run(["scan", "--qmax", "30", "--out", str(post)], capsys)
-    assert rc == 0
-    rc, _, _ = run(["--out", str(pre), "scan", "--qmax", "30"], capsys)
-    assert rc == 0
-    assert post.read_bytes() == pre.read_bytes()
-    # a prefix value survives the subparser pass
-    rc, out, _ = run(["--threads", "2", "eval", "1/2"], capsys)
-    assert rc == 0 and _record(out)["q"] == "2"
-
-
 @pytest.mark.parametrize("argv", [
     ["scan", "--qmax", "30"],
     ["verify", "--suite", "epsilon"],
@@ -539,7 +525,7 @@ def test_global_flags_accepted_after_subcommand(tmp_path, capsys):
 ], ids=["scan", "verify", "dist", "eval"])
 def test_unwritable_out_exits_2(argv, tmp_path, capsys):
     path = tmp_path / "no_such_dir" / "out.csv"
-    rc, _, err = run(["--out", str(path)] + argv, capsys)
+    rc, _, err = run(argv + ["--out", str(path)], capsys)
     assert rc == 2 and err.startswith("error: cannot write")
 
 
@@ -564,7 +550,9 @@ def test_failed_write_exits_2(argv, tmp_path, capsys):
     ["scan", "--qmax", "60"],
     ["verify", "--suite", "epsilon"],
     ["dist", "--N", "60", "--out", "REST"],
-], ids=["eval", "scan", "verify", "dist"])
+    ["--help"],
+    ["eval", "--help"],
+], ids=["eval", "scan", "verify", "dist", "help", "eval_help"])
 def test_failed_stdout_write_exits_2(argv, tmp_path):
     # one error line: no traceback, and no "Exception ignored" from the flush at exit
     argv = [str(tmp_path / "rest.csv") if a == "REST" else a for a in argv]
@@ -595,6 +583,28 @@ def test_dist_unwritable_output_fails_before_sweep(flag, tmp_path, capsys, monke
     path = tmp_path / "no_such_dir" / "x.csv"
     rc, _, err = run(["dist", "--N", "50", flag, str(path)], capsys)
     assert rc == 2 and err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("out, report", [
+    ("same.csv", "same.csv"),
+    ("same.csv", "link.csv"),
+    ("same.csv", "./same.csv"),
+    ("new.csv", "./new.csv"),  # a file not made yet
+])
+def test_dist_out_and_report_on_one_file_exits_2(out, report, tmp_path, capsys,
+                                                 monkeypatch):
+    # the report would overwrite the head of the sweep CSV: refused before
+    # either file is opened, whatever name the second path gives the file
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran with one file for --out and --report")
+
+    monkeypatch.setattr(cli, "_sweep_blocks", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    Path("same.csv").write_bytes(b"kept\n")
+    Path("link.csv").symlink_to("same.csv")
+    rc, _, err = run(["dist", "--N", "60", "--out", out, "--report", report], capsys)
+    assert rc == 2 and err == f"error: --out and --report name one file: {report}\n"
+    assert Path("same.csv").read_bytes() == b"kept\n" and not Path("new.csv").exists()
 
 
 def test_scan_unwritable_output_fails_before_sweep(tmp_path, capsys, monkeypatch):
@@ -658,26 +668,55 @@ def test_refused_cap_keeps_existing_out(argv, tmp_path, capsys):
     assert path.read_bytes() == b"kept\n"
 
 
-# -- config ----------------------------------------------------------------------
+# -- flags -----------------------------------------------------------------------
 
 
-def test_config_file_is_read_and_flag_overrides(tmp_path, capsys, monkeypatch):
-    bad = tmp_path / "cfg.txt"
-    bad.write_text("threads = 0\n")
-    monkeypatch.setenv(cli.ENV_CONFIG, str(bad))
-    rc, _, err = run(["eval", "1/2"], capsys)
-    assert rc == 2 and "threads" in err
-    # an explicit flag wins over the file
-    rc, out, _ = run(["--threads", "2", "eval", "1/2"], capsys)
-    assert rc == 0 and "h = " in out
+def test_global_flags_accepted_after_subcommand(tmp_path, capsys):
+    # each flag is registered once, after the subcommands that read it
+    path = tmp_path / "post.csv"
+    rc, _, _ = run(["scan", "--qmax", "30", "--out", str(path)], capsys)
+    assert rc == 0 and path.read_text().startswith(cli.SCAN_CSV[0] + "\n")
+    # before the subcommand, or on one that does not read it, a flag exits 2
+    for argv in (["--out", str(tmp_path / "pre.csv"), "scan", "--qmax", "30"],
+                 ["--threads", "2", "eval", "1/2"],
+                 ["eval", "--threads", "2", "1/2"],
+                 ["verify", "--suite", "epsilon", "--qcap", "5000"]):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # a parse error
+            rc = exc.code
+        assert rc == 2 and "error: " in capsys.readouterr().err, argv
+    assert not (tmp_path / "pre.csv").exists()
 
 
-def test_config_rejects_unknown_key(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("qmax = 7\n")
-    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
-    rc, _, err = run(["eval", "1/2"], capsys)
-    assert rc == 2 and "unknown config key" in err
+@pytest.mark.parametrize("argv, flag, suite", [
+    (["--suite", "continuity", "--ncap", "150"], "--ncap", "th3"),
+    (["--suite", "th3", "--qcap", "4000"], "--qcap", "continuity"),
+], ids=["continuity_ncap", "th3_qcap"])
+def test_verify_size_flag_of_another_suite_exits_2(argv, flag, suite, tmp_path, capsys,
+                                                   monkeypatch):
+    # refused before the suite runs and before --out is opened
+    def no_suite(*args, **kwargs):
+        raise AssertionError("the suite ran with a flag it does not read")
+
+    monkeypatch.setattr(verify, "run_suite", no_suite)
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"kept\n")
+    rc, _, err = run(["verify"] + argv + ["--out", str(path)], capsys)
+    assert rc == 2 and err == f"error: {flag} is read only by --suite {suite}\n"
+    assert path.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--qmax", "30", "--threads", "0"],
+    ["dist", "--N", "60", "--threads", "0"],
+    ["dist", "--N", "60", "--ncap", "1"],
+    ["verify", "--suite", "continuity", "--qcap", "1"],
+    ["verify", "--suite", "th3", "--ncap", "1"],
+], ids=["scan_threads", "dist_threads", "dist_ncap", "qcap", "th3_ncap"])
+def test_size_flag_below_its_floor_exits_2(argv, capsys):
+    rc, _, err = run(argv, capsys)
+    assert rc == 2 and err.startswith("error: ") and "must be >= " in err
 
 
 def test_guard_depth_flag_is_gone(capsys):
@@ -686,14 +725,6 @@ def test_guard_depth_flag_is_gone(capsys):
             cli.main(argv)
         assert exc.value.code == 2
     assert "--guard-depth" in capsys.readouterr().err
-
-
-def test_config_rejects_guard_depth_key(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("guard_depth = 8\n")
-    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
-    rc, _, err = run(["eval", "1/2"], capsys)
-    assert rc == 2 and "unknown config key 'guard_depth'" in err
 
 
 def test_precision_bits_flag_is_gone(capsys):
@@ -705,42 +736,9 @@ def test_precision_bits_flag_is_gone(capsys):
     assert "--precision-bits" in capsys.readouterr().err
 
 
-def test_config_rejects_precision_bits_key(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("precision_bits = 128\n")
-    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
-    rc, _, err = run(["eval", "1/2"], capsys)
-    assert rc == 2 and "unknown config key 'precision_bits'" in err
 
 
-def test_config_rejects_non_integer_value(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("qcap = abc\n")
-    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
-    rc, _, err = run(["eval", "1/2"], capsys)
-    assert rc == 2 and err.startswith("error: ") and "qcap must be an integer" in err
 
-
-def test_config_non_utf8_file_exits_2(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_bytes(b"\xff\xfeqcap = 5\n")
-    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
-    rc, _, err = run(["eval", "1/3"], capsys)
-    assert rc == 2 and err.startswith(f"error: cannot read config file {cfg}: not UTF-8")
-
-
-def test_config_missing_file_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_CONFIG, str(tmp_path / "absent.cfg"))
-    rc, _, err = run(["eval", "1/2"], capsys)
-    assert rc == 2 and err.startswith("error: cannot read config file")
-
-
-def test_config_comments_and_blanks_ok(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("# comment\n\nthreads = 1\nqcap = 4000  # inline\n")
-    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
-    rc, _, _ = run(["eval", "1/2"], capsys)
-    assert rc == 0
 
 
 # -- entry point -----------------------------------------------------------------

@@ -9,6 +9,7 @@ algorithm, and reaches far into the right tail.
 
 import concurrent.futures
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -437,9 +438,9 @@ def test_farey_row_stays_in_small_blocks():
     assert _peak_bytes(lambda: dist._farey_row(1500)) < 2**20
 
 
-def test_sweep_forks_no_more_workers_than_tasks(monkeypatch):
-    # fork starts all max_workers processes at once: 119 denominators in
-    # chunks of 8 are 15 tasks, so 15 workers even when 1000 are allowed
+def _pool_in_process(monkeypatch, cpus):
+    """The max_workers each pool is asked for, with `cpus` usable CPUs; the
+    pool maps in this process, so no worker is started."""
     asked = []
 
     class InProcessPool:
@@ -456,9 +457,31 @@ def test_sweep_forks_no_more_workers_than_tasks(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return asked
+
+
+def test_sweep_forks_no_more_workers_than_tasks(monkeypatch):
+    # fork starts all max_workers processes at once: 119 denominators in
+    # chunks of 8 are 15 tasks, so 15 workers even when 1000 are allowed
+    asked = _pool_in_process(monkeypatch, cpus=64)
     rows = sweep(120, threads=1000)
     assert asked == [15]
     assert np.array_equal(rows, sweep(120))
+
+
+def test_sweep_forks_no_more_workers_than_usable_cpus(monkeypatch):
+    # 299 denominators are 38 tasks; with 3 usable CPUs, 8 threads get 3 workers
+    asked = _pool_in_process(monkeypatch, cpus=3)
+    rows = sweep(300, threads=8)
+    assert asked == [3]
+    assert np.array_equal(rows, sweep(300))
+    if hasattr(os, "sched_getaffinity"):
+        # the CPUs this process may run on, not the machine's count
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        sweep(120, threads=8)
+        assert asked == [3, 3]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -90,6 +90,8 @@ def _cli(*argv: str) -> list[str]:
 CASES: dict[str, list[str]] = {
     "eval 5/12": _cli("eval", "5/12"),
     "scan --qmax 80": _cli("scan", "--qmax", "80", "--out", "out.csv"),
+    "scan --qmax 90 --threads 2": _cli("scan", "--qmax", "90", "--threads", "2",
+                                       "--out", "out.csv"),
     "scan --near": _cli("scan", "--qmax", "3000", "--near", "0.381966", "--radius",
                         "1e-4", "--out", "out.csv"),
     "dist --N 200": _cli("dist", "--N", "200", "--out", "out.csv"),
@@ -104,6 +106,10 @@ CASES: dict[str, list[str]] = {
         "dist", "--N", "400", "--ncap", "400", "--threads", "2", "--out", "out.csv"),
     **{f"verify --suite {s}": _cli("verify", "--suite", s, "--out", "out.csv")
        for s in ALL_SUITES},
+    "verify --suite th3 --ncap 150": _cli(
+        "verify", "--suite", "th3", "--ncap", "150", "--out", "out.csv"),
+    "verify --suite continuity --qcap 4000": _cli(
+        "verify", "--suite", "continuity", "--qcap", "4000", "--out", "out.csv"),
     "run_suite seeds 0-7": ["-c", _SUITE_ROWS],
     "estimate_D(200)": ["-c", _ESTIMATE_D],
     "sweep(500) logJ": ["-c", _SWEEP],
@@ -206,7 +212,7 @@ def run_case(tree: str, args: list[str], workdir: str) -> dict[str, bytes]:
     """The outputs of one case on one tree: exit code, stdout, stderr, files."""
     os.makedirs(workdir)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    env.pop("SUDLERLAB_CONFIG", None)
+    env.pop("SUDLERLAB_CONFIG", None)  # a REV older than the flag-only CLI reads it
     res = subprocess.run([sys.executable, *args], cwd=workdir, env=env,
                          capture_output=True)
     outputs = {"exit": str(res.returncode).encode(), "stdout": res.stdout,
