@@ -12,7 +12,10 @@ vanishing factor.  The module provides:
     together with the shift corrections eps_l,
   * shifted cotangent sums and the weighted cotangent sum V_l,
   * an exact closed form for P_{q_l}(alpha, x/q_l) as a ratio product over
-    the integer grid n/q_l,
+    the grid n/q_l, both of whose sides are exact integer residues mod
+    q_l lcm(2 den(dist_l), den(z)); where z is an integer the vanishing
+    pair, f(z) against f(z/q_l) or against the grid denominator at
+    n = z mod q_l, is replaced by its limit ratio q_l,
   * the coupling bound between q_l ||q_m alpha|| and its counterpart at the
     first-digit-dropped alpha' = 1/alpha - a_1, read from alpha's own table:
     for a0 = 0, level l of alpha' has q'_l = p_l and theta'_l = -theta_l/alpha.
@@ -42,7 +45,6 @@ __all__ = [
     "log_f",
     "sudler_prefix_logmags",
     "shifted_sudler",
-    "kubert_rhs",
     "epsilon_vector",
     "product_form_eval",
     "product_form_logs",
@@ -53,9 +55,6 @@ __all__ = [
 ]
 
 LOG2 = math.log(2.0)
-
-# explicit_formula_eval decides the zero factors and poles of its float grid at this distance
-POLE_GUARD = 1e-13
 
 # the one resource cap: _residues (so every exact residue walk), the prefix
 # logs, the Jones sums, verify's oscillation and dist.sweep refuse, before
@@ -268,19 +267,6 @@ def shifted_sudler(alpha, x, N: int) -> float:
     return math.fsum(_logf_residues(*_walk(alpha, x, N, ZeroFactorError)))
 
 
-def kubert_rhs(r, x) -> float:
-    """Right side of the sine multiplication law at level q = den(r).
-
-    For reduced p/q the law reads f(x/q) * P_{q-1}(p/q, x/q) = f(x); the
-    numerator p only permutes the factors.  This returns log f(x), the exact
-    oracle that shifted products at denominator-q arguments must match.
-    """
-    q = Fraction(r).denominator
-    if (Fraction(x) / q) % 1 == 0:
-        raise PrecondError(f"x/q = {Fraction(x) / q} is an integer; both sides vanish")
-    return log_f(x)
-
-
 def epsilon_vector(rep: OstrowskiRep) -> tuple[Fraction, ...]:
     """Shift corrections eps_l of rep over rep.table, one exact Fraction per digit.
 
@@ -415,39 +401,44 @@ def explicit_formula_eval(ell: int, x, table: ConvergentTable) -> float:
     P = f(dist_l + x/q_l) * (f(z)/f(z/q_l)) *
         prod_{n=1}^{q_l-1} f((n - y_n - z)/q_l) / f((n - z)/q_l),
 
-    with z = x + q_l dist_l / 2 and y_n = ({n q_{l-1}/q_l} - 1/2) q_l dist_l.
-    When z/q_l is an integer both f(z) and f(z/q_l) vanish and the ratio is
-    replaced by its limit q_l.  x is an exact rational; the grid product runs
-    in floats, with POLE_GUARD deciding its vanishing factors.  Must match
-    shifted_sudler at the same shift.
+    with z = x + q_l dist_l / 2 and y_n = ({n q_{l-1}/q_l} - 1/2) q_l dist_l
+    = (r_n - q_l/2) dist_l, r_n = n q_{l-1} mod q_l.  x is an exact
+    rational.  Both grids are exact integer residues mod Q = q_l D, with
+    D = lcm(2 den(dist_l), den(z)): the denominator's are (n - z) D and the
+    numerator's add q_l (dist_l D)/2 - r_n (dist_l D), so a factor vanishes
+    exactly when its residue is 0.  When z is an integer f(z) vanishes, and
+    so does f(z/q_l) if q_l divides z, or else the grid denominator at
+    n = z mod q_l; either pair is replaced by its limit ratio q_l.  A
+    vanishing numerator, or a vanishing f(dist_l + x/q_l) (the factor
+    n = q_l of the product), raises ZeroFactorError.
+    Must match shifted_sudler at the same shift.
     """
     q = table.q(ell)
     d = table.dist(ell)
     x = Fraction(x)
     z = x + q * d / 2
     first = log_f(d + x / q)
-    if (z / q) % 1 == 0:
-        mid = math.log(q)
+    if first == -math.inf:
+        raise ZeroFactorError(f"f(dist_l + x/q_l) vanishes at n={q}", n=q)
+    D = math.lcm(2 * d.denominator, z.denominator)
+    Q = q * D
+    # dist_l D is even and below D (dist_l < 1), so r_n dist_l D < Q and the
+    # int64 sums below stay under 2 Q < 2^63 (_residues is int64 only for Q < 2^62)
+    s = int(d * D)
+    den = _residues(D, Q, q - 1, -int(z * D))
+    r = _residues(table.q(ell - 1), q, q - 1).astype(den.dtype)
+    num = (den + (q * s // 2 - r * s)) % Q
+    if not num.all():
+        n = int(np.flatnonzero(num == 0)[0]) + 1
+        raise ZeroFactorError(f"grid numerator n={n} vanishes", n=n)
+    if z.denominator == 1:
+        mid = [math.log(q)] if z % q == 0 else [math.log(q), -log_f(z / q)]
+        den = den[den != 0]
     else:
-        # z/q is not an integer, so f(z/q) does not vanish
-        mid = log_f(z) - log_f(z / q)
-    if q == 1:
-        return first + mid
-    qd = float(q * d)
-    zf = float(z)
-    res = _residues(table.q(ell - 1), q, q - 1)
-    n = np.arange(1, q, dtype=np.int64)
-    y = (res / q - 0.5) * qd
-    num = ((n - y - zf) / q) % 1.0
-    den = ((n - zf) / q) % 1.0
-    num_m = np.minimum(num, 1.0 - num)
-    den_m = np.minimum(den, 1.0 - den)
-    if np.any(num_m < POLE_GUARD):
-        raise ZeroFactorError(f"grid numerator n={int(np.argmin(num_m)) + 1} vanishes", n=int(np.argmin(num_m)) + 1)
-    if np.any(den_m < POLE_GUARD):
-        raise PoleError(f"grid denominator n={int(np.argmin(den_m)) + 1} vanishes", n=int(np.argmin(den_m)) + 1)
-    ratio = math.fsum(np.log(np.sin(np.pi * num_m)) - np.log(np.sin(np.pi * den_m)))
-    return first + mid + ratio
+        # z is not an integer, so neither f(z/q_l) nor the grid denominator vanishes
+        mid = [log_f(z), -log_f(z / q)]
+    grid = np.concatenate((_logf_residues(num, Q), -_logf_residues(den, Q)))
+    return math.fsum([first, *mid, *grid.tolist()])
 
 
 def ql_diff_check(ell: int, m: int, table: ConvergentTable):

@@ -81,6 +81,31 @@ for q in range(2, 301):
 np.save("product_form_q300.npy", np.concatenate(logs))
 """
 
+# every reduced p/q with q <= 60, l = 1..L-1 and x = k/12, 0 < |k| <= 11: the
+# outcome ("value" or the exception's name) apart from the log, which is nan
+# when the call raised
+_EXPLICIT_FORMULA = """
+import math
+from fractions import Fraction
+from sudlerlab.cfrac import cf_expand, convergents
+from sudlerlab.trig import explicit_formula_eval
+with open("explicit_formula_q60.csv", "w") as fh:
+    fh.write("p,q,ell,k,outcome,log\\n")
+    for q in range(2, 61):
+        for p in range(1, q):
+            if math.gcd(p, q) != 1:
+                continue
+            cf = cf_expand(Fraction(p, q))
+            table = convergents(cf, cf.L)
+            for ell in range(1, cf.L):
+                for k in (*range(-11, 0), *range(1, 12)):
+                    try:
+                        out, log = "value", explicit_formula_eval(ell, Fraction(k, 12), table)
+                    except ArithmeticError as e:  # ZeroFactorError or PoleError
+                        out, log = type(e).__name__, math.nan
+                    fh.write("%d,%d,%d,%d,%s,%.17g\\n" % (p, q, ell, k, out, log))
+"""
+
 
 def _cli(*argv: str) -> list[str]:
     return ["-m", "sudlerlab.cli", *argv]
@@ -114,6 +139,7 @@ CASES: dict[str, list[str]] = {
     "estimate_D(200)": ["-c", _ESTIMATE_D],
     "sweep(500) logJ": ["-c", _SWEEP],
     "product_form_logs gate 02": ["-c", _PRODUCT_FORM],
+    "explicit_formula q <= 60": ["-c", _EXPLICIT_FORMULA],
 }
 
 # a number, but not the digits of a name such as th3 or F_200
